@@ -16,13 +16,13 @@ repeat and (b) the stored item itself never changes.
 import numpy as np
 
 from replay_lab.augmentation import AugPolicy, replay_with_iba
-from replay_lab.sampling import ReplayBuffer, StoredExample
+from replay_lab.sampling import ReplayBuffer
 
 rng = np.random.default_rng(0)
 image = rng.uniform(size=28 * 28)
 
 buf = ReplayBuffer(1, "reservoir")
-buf.update(StoredExample(image, label=3), rng)
+buf.update(image, label=3, loss=0.0, rng=rng)  # the buffer keeps a copy of the row
 policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
 
 seen = set()
@@ -34,7 +34,7 @@ for _ in range(draws):
 print(f"{draws} draws of the single stored item produced {len(seen)} distinct "
       f"augmented versions (25 shifts are possible at max_shift=2)")
 print("stored item unchanged after all draws:",
-      np.array_equal(buf.slots[0].features, image))
+      np.array_equal(buf.features[0], image))
 
 # with augmentation disabled the draw is the raw item, bit for bit
 raw_policy = AugPolicy(image_dims=(28, 28, 1), enabled=False)

@@ -16,7 +16,7 @@ from .mlp import (Mlp, finite_difference_grads, gradient_check, softmax,
                   softmax_cross_entropy)
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        RING, STRATEGIES, ReplayBuffer, ScoreVectors,
-                       StoredExample, lars_scores, omission_probability)
+                       lars_scores, omission_probability)
 from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 from .trainer import (AblationRow, RngStreams, StepInfo, TrainConfig,
                       TrainState, ablation_suite, er_train_step, init_state,

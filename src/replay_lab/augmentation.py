@@ -73,7 +73,7 @@ def replay_with_iba(buffer: ReplayBuffer, batch_size: int, policy: AugPolicy,
     """
     if aug_rng is None:
         aug_rng = rng
-    ids, items = buffer.draw_replay_batch(batch_size, rng)
-    feats = np.stack([augment(policy, item.features, aug_rng) for item in items])
-    labels = np.array([item.label for item in items], dtype=np.int64)
+    ids, feats, labels = buffer.draw_replay_batch(batch_size, rng)
+    for k, row in enumerate(feats):
+        feats[k] = augment(policy, row, aug_rng)
     return ids, feats, labels

@@ -12,8 +12,9 @@ strategies are supported:
   losses, so well-fit items from crowded classes go first.
 * ``ring``           -- class-wise FIFO segments of size capacity // classes.
 
-All randomness flows through an injected ``numpy.random.Generator``; a buffer
-is owned by a single training run and mutated sequentially.
+Stored items are copies of the offered raw rows, kept in preallocated
+arrays. All randomness flows through an injected ``numpy.random.Generator``;
+a buffer is owned by a single training run and mutated sequentially.
 """
 
 from __future__ import annotations
@@ -28,17 +29,6 @@ LOSS_AWARE_RESERVOIR = "lars"
 RING = "ring"
 
 STRATEGIES = (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RING)
-
-
-@dataclass
-class StoredExample:
-    """One buffered item: a flat feature vector, its class id, and the most
-    recent training loss observed for it (used only by the loss-aware
-    strategy; refreshed whenever the item is drawn for replay)."""
-
-    features: np.ndarray
-    label: int
-    loss_score: float = 0.0
 
 
 @dataclass
@@ -57,13 +47,21 @@ class ScoreVectors:
 
 
 class ReplayBuffer:
-    """Fixed-capacity store of past stream examples.
+    """Fixed-capacity store of past stream examples, held in three arrays.
 
-    ``seen_count`` tracks how many stream items have been offered to the
-    buffer; the number of filled slots is ``min(seen_count, capacity)`` for
-    the reservoir-family strategies. The ring strategy instead keeps one
-    FIFO segment of ``capacity // class_count`` slots per class (remainder
-    slots stay unused), so its fill pattern is not contiguous.
+    * ``features`` (capacity, d): copies of the admitted raw rows, allocated
+      on the first admission with that row's shape and dtype;
+    * ``labels`` (capacity,) int64: class ids, ``-1`` marking an empty slot;
+    * ``loss`` (capacity,) float64: the most recent training loss of each
+      item (used only by the loss-aware strategy; refreshed whenever the
+      item is drawn for replay).
+
+    The filled slots are those with ``labels >= 0``. ``seen_count`` tracks
+    how many stream items have been offered; the reservoir-family
+    strategies fill slots ``0..capacity-1`` in order, so the number of
+    filled slots is ``min(seen_count, capacity)``. The ring strategy instead
+    keeps one FIFO segment of ``capacity // class_count`` slots per class
+    (remainder slots stay unused), so its fill pattern is not contiguous.
 
     Capacity 0 is the degenerate no-rehearsal buffer: updates only advance
     ``seen_count``.
@@ -82,173 +80,137 @@ class ReplayBuffer:
         self.class_count = class_count
         self.seen_count = 0
         self.last_insert_slot: int | None = None
-        self._counts: dict[int, int] = {}
+        self.features: np.ndarray | None = None
+        self.labels = np.full(capacity, -1, dtype=np.int64)
+        self.loss = np.zeros(capacity)
         if strategy == RING:
-            self.slots: list[StoredExample | None] = [None] * capacity
-            self._segment = capacity // class_count if class_count else 0
-            self._ring_next = [0] * (class_count or 0)
-        else:
-            self.slots = []
+            self._segment = capacity // class_count
+            self._ring_next = [0] * class_count
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def n_filled(self) -> int:
-        if self.strategy == RING:
-            return sum(s is not None for s in self.slots)
-        return len(self.slots)
+        return int(np.count_nonzero(self.labels >= 0))
 
     @property
     def is_full(self) -> bool:
         return self.n_filled == self.capacity
 
-    def filled_ids(self) -> list[int]:
-        """Slot indices currently holding an example."""
-        if self.strategy == RING:
-            return [i for i, s in enumerate(self.slots) if s is not None]
-        return list(range(len(self.slots)))
+    def filled_ids(self) -> np.ndarray:
+        """Slot indices currently holding an example, ascending."""
+        return np.flatnonzero(self.labels >= 0)
+
+    def _label_counts(self) -> np.ndarray:
+        return np.bincount(self.labels[self.labels >= 0])
 
     def class_counts(self) -> dict[int, int]:
         """Number of stored items per class id (absent classes omitted)."""
-        return dict(self._counts)
+        counts = self._label_counts()
+        present = np.flatnonzero(counts)
+        return dict(zip(present.tolist(), counts[present].tolist()))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack stored features and labels into (n, d) / (n,) arrays."""
-        items = [self.slots[i] for i in self.filled_ids()]
-        if not items:
+        """Copies of the stored features and labels as (n, d) / (n,) arrays."""
+        ids = self.filled_ids()
+        if ids.size == 0:
             raise ValueError("buffer is empty")
-        feats = np.stack([it.features for it in items])
-        labels = np.array([it.label for it in items], dtype=np.int64)
-        return feats, labels
+        return self.features[ids], self.labels[ids]
 
     def audit(self) -> list[tuple[int, int, float]]:
-        """(slot id, label, loss_score) triples for run-report serialization."""
-        return [(i, self.slots[i].label, float(self.slots[i].loss_score))
-                for i in self.filled_ids()]
+        """(slot id, label, loss score) triples for run-report serialization."""
+        ids = self.filled_ids()
+        return list(zip(ids.tolist(), self.labels[ids].tolist(), self.loss[ids].tolist()))
 
     # -- updates ------------------------------------------------------------
 
-    def update(self, item: StoredExample, rng: np.random.Generator) -> None:
+    def update(self, features, label: int, loss: float,
+               rng: np.random.Generator) -> None:
         """Offer one stream item to the buffer under the configured strategy.
 
-        Always increments ``seen_count`` by exactly 1. Afterwards,
-        ``last_insert_slot`` holds the slot the item went into, or None when
-        it was not admitted.
+        An admitted item is copied into its slot. Always increments
+        ``seen_count`` by exactly 1. Afterwards, ``last_insert_slot`` holds
+        the slot the item went into, or None when it was not admitted.
         """
+        if label < 0:
+            raise ValueError(f"labels must be >= 0, got {label}")
         self.last_insert_slot = None
-        if self.capacity == 0:
-            self.seen_count += 1
-            return
-        if self.strategy == RESERVOIR:
-            self._reservoir_update(item, rng)
-        elif self.strategy == BALANCED_RESERVOIR:
-            self._balanced_update(item, rng)
-        elif self.strategy == LOSS_AWARE_RESERVOIR:
-            self._lars_update(item, rng)
-        else:
-            self._ring_update(item)
+        if self.capacity > 0:
+            slot = self._ring_slot(label) if self.strategy == RING else self._reservoir_slot(rng)
+            if slot is not None:
+                if self.features is None:
+                    row = np.asarray(features)
+                    self.features = np.empty((self.capacity, *row.shape), dtype=row.dtype)
+                self.features[slot] = features
+                self.labels[slot] = label
+                self.loss[slot] = loss
+                self.last_insert_slot = slot
         self.seen_count += 1
 
-    def _admission_draw(self, rng: np.random.Generator) -> int:
+    def _reservoir_slot(self, rng: np.random.Generator) -> int | None:
+        if self.seen_count < self.capacity:
+            return self.seen_count
         # Uniform over {0..seen_count} inclusive: seen_count+1 outcomes, so
         # P(draw < capacity) = capacity / (seen_count + 1), the admission
         # probability shared by all reservoir-family strategies.
-        return int(rng.integers(0, self.seen_count + 1))
-
-    def _store(self, index: int, item: StoredExample) -> None:
-        old = self.slots[index]
-        if old is not None:
-            self._counts[old.label] -= 1
-            if self._counts[old.label] == 0:
-                del self._counts[old.label]
-        self.slots[index] = item
-        self._counts[item.label] = self._counts.get(item.label, 0) + 1
-        self.last_insert_slot = index
-
-    def _append(self, item: StoredExample) -> None:
-        self.slots.append(item)
-        self._counts[item.label] = self._counts.get(item.label, 0) + 1
-        self.last_insert_slot = len(self.slots) - 1
-
-    def _reservoir_update(self, item: StoredExample, rng: np.random.Generator) -> None:
-        if self.seen_count < self.capacity:
-            self._append(item)
-            return
-        j = self._admission_draw(rng)
-        if j < self.capacity:
-            self._store(j, item)
-
-    def _balanced_update(self, item: StoredExample, rng: np.random.Generator) -> None:
-        if self.seen_count < self.capacity:
-            self._append(item)
-            return
-        j = self._admission_draw(rng)
-        if j < self.capacity:
+        j = int(rng.integers(0, self.seen_count + 1))
+        if j >= self.capacity:
+            return None
+        if self.strategy == BALANCED_RESERVOIR:
             # The incoming item is not in the buffer yet, so it contributes
             # nothing to the class counts used for victim selection.
-            victim = self._balanced_victim(rng)
-            self._store(victim, item)
+            counts = self._label_counts()
+            tied = np.flatnonzero(counts == counts.max())
+            cls = tied[int(rng.integers(0, tied.size))]
+            members = np.flatnonzero(self.labels == cls)
+            return int(members[int(rng.integers(0, members.size))])
+        if self.strategy == LOSS_AWARE_RESERVOIR:
+            return int(rng.choice(self.capacity, p=lars_scores(self).probs))
+        return j
 
-    def _balanced_victim(self, rng: np.random.Generator) -> int:
-        max_count = max(self._counts.values())
-        tied = sorted(c for c, n in self._counts.items() if n == max_count)
-        cls = tied[int(rng.integers(0, len(tied)))]
-        members = [i for i, s in enumerate(self.slots) if s.label == cls]
-        return members[int(rng.integers(0, len(members)))]
-
-    def _lars_update(self, item: StoredExample, rng: np.random.Generator) -> None:
-        if self.seen_count < self.capacity:
-            self._append(item)
-            return
-        j = self._admission_draw(rng)
-        if j < self.capacity:
-            probs = lars_scores(self).probs
-            victim = int(rng.choice(len(probs), p=probs))
-            self._store(victim, item)
-
-    def _ring_update(self, item: StoredExample) -> None:
-        if item.label >= (self.class_count or 0):
+    def _ring_slot(self, label: int) -> int | None:
+        if label >= self.class_count:
             raise ValueError(
-                f"label {item.label} out of range for declared class_count {self.class_count}")
+                f"label {label} out of range for declared class_count {self.class_count}")
         if self._segment == 0:
-            return
-        base = item.label * self._segment
-        offset = self._ring_next[item.label] % self._segment
-        self._store(base + offset, item)
-        self._ring_next[item.label] += 1
+            return None
+        slot = label * self._segment + self._ring_next[label] % self._segment
+        self._ring_next[label] += 1
+        return slot
 
     # -- replay -------------------------------------------------------------
 
-    def draw_replay_batch(self, batch_size: int,
-                          rng: np.random.Generator) -> tuple[list[int], list[StoredExample]]:
-        """Sample ``batch_size`` slots uniformly with replacement.
+    def draw_replay_batch(self, batch_size: int, rng: np.random.Generator
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample ``batch_size`` filled slots uniformly with replacement.
 
-        Returns slot ids alongside the stored examples so the caller can
-        push refreshed loss scores back to the right slots. Stored features
-        are returned as-is; any augmentation happens downstream.
+        Returns (slot ids, features, labels); the ids let the caller push
+        refreshed loss scores back to the right slots. The features are
+        copies of the stored rows; any augmentation happens downstream.
         """
         ids = self.filled_ids()
-        if not ids:
+        if ids.size == 0:
             raise ValueError("cannot draw from an empty buffer")
-        picks = rng.integers(0, len(ids), size=batch_size)
-        chosen = [ids[int(p)] for p in picks]
-        return chosen, [self.slots[i] for i in chosen]
+        chosen = ids[rng.integers(0, ids.size, size=batch_size)]
+        return chosen, self.features[chosen], self.labels[chosen]
 
     def refresh_loss_scores(self, indices, losses) -> None:
         """Overwrite the stored loss of each indexed slot with a fresh value.
 
-        Only the loss scores change; features and labels are untouched.
+        Only the loss scores change; features and labels are untouched. The
+        whole input is validated before anything is written; for a slot
+        listed more than once, its last loss wins.
         """
+        indices = np.asarray(indices, dtype=np.int64)
         losses = np.asarray(losses, dtype=float)
         if len(indices) != len(losses):
             raise ValueError("indices and losses must have the same length")
-        filled = set(self.filled_ids())
-        for idx, loss in zip(indices, losses):
-            if idx not in filled:
-                raise IndexError(f"slot {idx} is not a filled buffer slot")
-            if loss < 0:
-                raise ValueError(f"loss scores must be >= 0, got {loss}")
-            self.slots[idx].loss_score = float(loss)
+        unfilled = ~np.isin(indices, self.filled_ids())
+        if unfilled.any():
+            raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
+        if np.any(losses < 0):
+            raise ValueError(f"loss scores must be >= 0, got {losses[losses < 0][0]}")
+        self.loss[indices] = losses
 
 
 def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:
@@ -263,12 +225,11 @@ def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:
     minimum and normalized, falling back to uniform when all entries tie.
     """
     ids = buffer.filled_ids()
-    if not ids:
+    if ids.size == 0:
         raise ValueError("cannot score an empty buffer")
-    counts = buffer.class_counts()
-    items = [buffer.slots[i] for i in ids]
-    s_balance = np.array([counts[it.label] for it in items], dtype=float)
-    s_loss = -np.array([it.loss_score for it in items], dtype=float)
+    labels = buffer.labels[ids]
+    s_balance = np.bincount(labels)[labels].astype(float)
+    s_loss = -buffer.loss[ids]
     loss_mass = np.abs(s_loss).sum()
     alpha = float(np.abs(s_balance).sum() / loss_mass) if loss_mass > 0 else 0.0
     s = s_loss * alpha + s_balance

@@ -23,8 +23,7 @@ from .datasets import Task, TaskStream
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
 from .mlp import Mlp, softmax_cross_entropy
-from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, ReplayBuffer,
-                       StoredExample)
+from .sampling import BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, ReplayBuffer
 from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 
 TRICK_TOKENS = ("iba", "bic", "cbic", "elrd", "brs", "lars")
@@ -137,6 +136,7 @@ class TrainState:
     iba_policy: AugPolicy
     examples_seen: int = 0
     task_index: int = 0
+    task_step: int = 0
     correction: object | None = None
 
 
@@ -159,6 +159,10 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
     carrying the loss just computed for them. The buffer stores raw features
     unless stream augmentation is on while independent buffer augmentation
     is off.
+
+    Raises ``FloatingPointError``, before the SGD update, when the stream or
+    replay loss is not finite; the message names the task and the step
+    within it.
     """
     n = features.shape[0]
     if n == 0:
@@ -179,10 +183,8 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
                 state.buffer, config.replay_batch_size, state.iba_policy,
                 rngs.replay, rngs.iba)
         else:
-            replay_ids, items = state.buffer.draw_replay_batch(
+            replay_ids, replay_feats, replay_labels = state.buffer.draw_replay_batch(
                 config.replay_batch_size, rngs.replay)
-            replay_feats = np.stack([it.features for it in items])
-            replay_labels = np.array([it.label for it in items], dtype=np.int64)
 
     logits, cache = state.model.forward(train_feats)
     stream_loss, stream_per_item, dlogits = softmax_cross_entropy(logits, labels)
@@ -193,6 +195,10 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
         replay_loss, replay_per_item, r_dlogits = softmax_cross_entropy(
             r_logits, replay_labels)
         state.model.backward(r_cache, r_dlogits)
+    if not (np.isfinite(stream_loss) and np.isfinite(replay_loss)):
+        raise FloatingPointError(
+            f"non-finite loss at task {state.task_index}, step {state.task_step}: "
+            f"stream loss {stream_loss}, replay loss {replay_loss}")
     state.model.sgd_step(lr)
 
     if replay_ids is not None:
@@ -200,10 +206,10 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
 
     store_feats = train_feats if (config.aug_stream_enabled and not config.iba) else features
     for i in range(n):
-        state.buffer.update(
-            StoredExample(store_feats[i], int(labels[i]), float(stream_per_item[i])),
-            rngs.buffer)
+        state.buffer.update(store_feats[i], int(labels[i]), float(stream_per_item[i]),
+                            rngs.buffer)
     state.examples_seen += n
+    state.task_step += 1
 
     return StepInfo(lr=lr, stream_loss=stream_loss, replay_loss=replay_loss,
                     total_loss=stream_loss + replay_loss,
@@ -311,6 +317,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
 
 def _train_one_task(state: TrainState, task: Task, config: TrainConfig) -> list[StepInfo]:
     infos = []
+    state.task_step = 0
     n = len(task.train_labels)
     for _ in range(config.epochs_per_task):
         order = state.rngs.shuffle.permutation(n)

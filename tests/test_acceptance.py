@@ -24,7 +24,7 @@ from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, \
 from replay_lab.evaluation import kl_to_uniform
 from replay_lab.mlp import Mlp, gradient_check, softmax_cross_entropy, \
     finite_difference_grads
-from replay_lab.sampling import ReplayBuffer, StoredExample, lars_scores
+from replay_lab.sampling import ReplayBuffer, lars_scores
 from replay_lab.trainer import (TrainConfig, _train_one_task, init_state,
                                 run_class_il, run_joint_baseline,
                                 run_sgd_baseline)
@@ -86,9 +86,9 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
         rng = np.random.default_rng(np.random.SeedSequence([101, run]))
         buf = ReplayBuffer(capacity, "reservoir")
         for i in range(n_items):
-            buf.update(StoredExample(feat, 0, float(i)), rng)
-        for slot in buf.slots:
-            hits[int(slot.loss_score)] += 1
+            buf.update(feat, 0, float(i), rng)
+        for loss in buf.loss:
+            hits[int(loss)] += 1
     freq = hits / runs
     p = capacity / n_items
     sd = np.sqrt(p * (1 - p) / runs)
@@ -105,7 +105,7 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
             rng = np.random.default_rng(np.random.SeedSequence([103, run]))
             buf = ReplayBuffer(capacity, strategy, class_count=10)
             for i in range(n_items):
-                buf.update(StoredExample(feat, i % 10, 0.5), rng)
+                buf.update(feat, i % 10, 0.5, rng)
                 admitted[i] += buf.last_insert_slot is not None
         ok = np.abs(admitted / runs - p_admit) <= 3 * sd_admit + 1e-12
         admission_ok[strategy] = float(ok.mean())
@@ -269,14 +269,14 @@ def test_criterion_08_iba_contract():
         _train_one_task(state, task, config)
     raw_rows = {row.tobytes() for task in stream.tasks for row in task.train_features}
     assert state.buffer.n_filled > 0
-    for slot in state.buffer.slots:
-        assert slot.features.tobytes() in raw_rows, \
+    for row in state.buffer.features[state.buffer.labels >= 0]:
+        assert row.tobytes() in raw_rows, \
             "buffer holds a feature vector that is not a raw stream item"
 
     # two draws of one slot under max_shift=2 differ almost always
     buf = ReplayBuffer(1, "reservoir")
     rng = np.random.default_rng(1)
-    buf.update(StoredExample(rng.uniform(size=784), 0), rng)
+    buf.update(rng.uniform(size=784), 0, 0.0, rng)
     policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
     differ = 0
     trials = 1000
@@ -313,7 +313,7 @@ def test_criterion_09_lars_score_oracle():
     buf = ReplayBuffer(4, "lars")
     rng = np.random.default_rng(0)
     for label, loss in [(0, 1.0), (0, 3.0), (0, 1.0), (1, 1.0)]:
-        buf.update(StoredExample(np.empty(0), label, loss), rng)
+        buf.update(np.empty(0), label, loss, rng)
     probs = lars_scores(buf).probs
     np.testing.assert_allclose(probs, [5 / 12, 0.0, 5 / 12, 1 / 6], atol=1e-15)
 
@@ -331,7 +331,7 @@ def test_criterion_09_lars_score_oracle():
             losses = [1.5] * n
         buf = ReplayBuffer(n, "lars")
         for lab, loss in zip(labels, losses):
-            buf.update(StoredExample(np.empty(0), int(lab), float(loss)), rng)
+            buf.update(np.empty(0), int(lab), float(loss), rng)
         expected = _brute_force_lars_probs(labels, losses)
         np.testing.assert_allclose(lars_scores(buf).probs, expected, atol=1e-12)
     print("criterion 9 PASS: hand-computed 4-item probabilities exact; "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from replay_lab.augmentation import AugPolicy, augment, replay_with_iba
-from replay_lab.sampling import ReplayBuffer, StoredExample
+from replay_lab.sampling import ReplayBuffer
 
 
 class TestAugment:
@@ -74,7 +74,7 @@ def filled_buffer(n_slots, dim, seed=0):
     buf = ReplayBuffer(n_slots, "reservoir")
     rng = np.random.default_rng(seed)
     for i in range(n_slots):
-        buf.update(StoredExample(rng.uniform(size=dim), i % 3), rng)
+        buf.update(rng.uniform(size=dim), i % 3, 0.0, rng)
     return buf
 
 
@@ -83,10 +83,10 @@ class TestReplayWithIba:
         buf = filled_buffer(6, 16)
         policy = AugPolicy(image_dims=(4, 4, 1), max_shift=2, enabled=False)
         ids, feats, labels = replay_with_iba(buf, 5, policy, np.random.default_rng(9))
-        raw_ids, raw_items = buf.draw_replay_batch(5, np.random.default_rng(9))
-        assert ids == raw_ids
-        np.testing.assert_array_equal(feats, np.stack([it.features for it in raw_items]))
-        np.testing.assert_array_equal(labels, [it.label for it in raw_items])
+        raw_ids, raw_feats, raw_labels = buf.draw_replay_batch(5, np.random.default_rng(9))
+        np.testing.assert_array_equal(ids, raw_ids)
+        np.testing.assert_array_equal(feats, raw_feats)
+        np.testing.assert_array_equal(labels, raw_labels)
 
     def test_two_draws_of_same_slot_usually_differ(self):
         buf = filled_buffer(1, 64, seed=1)
@@ -101,13 +101,13 @@ class TestReplayWithIba:
 
     def test_buffer_contents_survive_any_number_of_draws(self):
         buf = filled_buffer(4, 36, seed=2)
-        originals = [s.features.copy() for s in buf.slots]
+        originals = buf.features.copy()
         policy = AugPolicy(image_dims=(6, 6, 1), max_shift=2, hflip_prob=0.5)
         rng = np.random.default_rng(11)
         for _ in range(200):
             replay_with_iba(buf, 8, policy, rng)
-        for slot, original in zip(buf.slots, originals):
-            np.testing.assert_array_equal(slot.features, original)
+        for row, original in zip(buf.features, originals):
+            np.testing.assert_array_equal(row, original)
 
     def test_separate_augmentation_stream_keeps_draws_aligned(self):
         # same draw rng, different aug rng: slot ids must match exactly
@@ -117,4 +117,4 @@ class TestReplayWithIba:
                                       np.random.default_rng(100))
         ids_b, _, _ = replay_with_iba(buf, 6, policy, np.random.default_rng(12),
                                       np.random.default_rng(200))
-        assert ids_a == ids_b
+        np.testing.assert_array_equal(ids_a, ids_b)

@@ -9,7 +9,7 @@ from replay_lab.bias_correction import (BiasFitConfig, BicLayer, CbicLayer,
                                         apply_bic, apply_cbic, apply_correction,
                                         fit_bic, fit_cbic)
 from replay_lab.mlp import Mlp, softmax
-from replay_lab.sampling import ReplayBuffer, StoredExample
+from replay_lab.sampling import ReplayBuffer
 
 
 def sigmoid(x):
@@ -20,7 +20,7 @@ def buffer_of(features, labels):
     buf = ReplayBuffer(len(labels), "reservoir")
     rng = np.random.default_rng(0)
     for f, y in zip(features, labels):
-        buf.update(StoredExample(np.asarray(f, dtype=float), int(y)), rng)
+        buf.update(np.asarray(f, dtype=float), int(y), 0.0, rng)
     return buf
 
 

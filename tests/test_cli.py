@@ -273,3 +273,15 @@ class TestExitCodes:
         # valid keys, but the class count is not divisible by the task size
         cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.class_count = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_4_and_names_task_and_step(self, tmp_path, capsys):
+        # lr0 = 1e30 blows the weights up: both losses are NaN at step 4 of task 0
+        cfg = write_config(tmp_path, "lr0 = 1e30\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--tricks", "bic,elrd,lars",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "task 0, step 4" in err
+        assert not (out / "report.json").exists()

@@ -10,7 +10,7 @@ from replay_lab.datasets import Dataset, make_class_il_tasks
 from replay_lab.evaluation import (average_final_accuracy, buffer_balance_mse,
                                    kl_to_uniform, task_prediction_distribution)
 from replay_lab.mlp import Mlp
-from replay_lab.sampling import ReplayBuffer, StoredExample
+from replay_lab.sampling import ReplayBuffer
 
 
 def onehot_stream(classes=4, per_class=6, classes_per_task=2, seed=0):
@@ -96,7 +96,7 @@ class TestBufferBalanceMse:
         buf = ReplayBuffer(len(labels), "reservoir", class_count=class_count)
         rng = np.random.default_rng(0)
         for lab in labels:
-            buf.update(StoredExample(np.empty(0), lab), rng)
+            buf.update(np.empty(0), lab, 0.0, rng)
         return buf
 
     def test_perfect_balance_is_zero(self):
@@ -113,7 +113,7 @@ class TestBufferBalanceMse:
 
     def test_unknown_class_universe_rejected(self):
         buf = ReplayBuffer(2, "reservoir")
-        buf.update(StoredExample(np.empty(0), 0), np.random.default_rng(0))
+        buf.update(np.empty(0), 0, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             buffer_balance_mse(buf, 1.0)
 

@@ -187,6 +187,28 @@ class TestBackward:
             model.backward(None, np.zeros((1, 2)))
 
 
+class _InvertedMaskMlp(Mlp):
+    """Backward with the ReLU mask flipped (negated pre-activations select
+    the dead units): a gradient the check must reject."""
+
+    def backward(self, cache, dlogits):
+        super().backward(dict(cache, pres=[-p for p in cache["pres"]]), dlogits)
+
+
+class TestGradientCheckOnSubclasses:
+    def test_copy_keeps_the_subclass(self):
+        model = _InvertedMaskMlp([3, 4, 2], np.random.default_rng(0))
+        assert type(model.copy()) is _InvertedMaskMlp
+
+    def test_overridden_backward_with_inverted_mask_is_rejected(self):
+        rng = np.random.default_rng(5)
+        model = _InvertedMaskMlp([6, 8, 5], rng)
+        x = rng.uniform(size=(4, 6))
+        y = rng.integers(0, 5, size=4)
+        ok, worst = gradient_check(model, x, y)
+        assert not ok, f"inverted mask passed with worst residual ratio {worst}"
+
+
 class TestSgdStep:
     def test_zero_lr_leaves_parameters_unchanged(self):
         model = tiny_model([3, 2], seed=2)

@@ -5,14 +5,13 @@ import pytest
 
 from replay_lab.sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR,
                                  RESERVOIR, RING, ReplayBuffer, ScoreVectors,
-                                 StoredExample, lars_scores,
-                                 omission_probability)
+                                 lars_scores, omission_probability)
 
 NO_FEATURES = np.empty(0)
 
 
-def item(label, loss=0.0, features=NO_FEATURES):
-    return StoredExample(features, label, loss)
+def offer(buf, label, rng, loss=0.0, features=NO_FEATURES):
+    buf.update(features, label, loss, rng)
 
 
 def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_count=None):
@@ -21,33 +20,41 @@ def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_coun
     rng = np.random.default_rng(seed)
     losses = losses if losses is not None else [0.0] * len(labels)
     for lab, loss in zip(labels, losses):
-        buf.update(item(lab, loss), rng)
+        offer(buf, lab, rng, loss)
     return buf
 
 
 class TestFillPhase:
     def test_first_item_lands_in_slot_zero(self):
         buf = ReplayBuffer(12, RESERVOIR)
-        buf.update(item(3), np.random.default_rng(0))
+        offer(buf, 3, np.random.default_rng(0))
         assert buf.seen_count == 1
         assert buf.n_filled == 1
-        assert buf.slots[0].label == 3
+        assert buf.labels[0] == 3
         assert buf.last_insert_slot == 0
 
     @pytest.mark.parametrize("strategy", [RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
     def test_fill_is_contiguous_append(self, strategy):
         buf = fill_buffer(strategy, labels=[5, 1, 4], capacity=8)
-        assert [s.label for s in buf.slots] == [5, 1, 4]
+        assert buf.labels[buf.labels >= 0].tolist() == [5, 1, 4]
         assert buf.n_filled == 3
 
     def test_lars_fill_stores_loss(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[0.3, 2.0], capacity=4)
-        assert [s.loss_score for s in buf.slots] == [0.3, 2.0]
+        assert buf.loss[buf.labels >= 0].tolist() == [0.3, 2.0]
 
     def test_seen_count_increments_by_one_per_update(self):
         buf = fill_buffer(RESERVOIR, labels=[0] * 40, capacity=5)
         assert buf.seen_count == 40
         assert buf.n_filled == 5
+
+    @pytest.mark.parametrize("strategy", [RESERVOIR, RING])
+    def test_negative_label_rejected(self, strategy):
+        # -1 marks an empty slot, so no stored label may be negative
+        buf = ReplayBuffer(4, strategy, class_count=2)
+        with pytest.raises(ValueError):
+            offer(buf, -1, np.random.default_rng(0))
+        assert buf.n_filled == 0
 
     def test_capacity_zero_is_a_no_op_store(self):
         buf = fill_buffer(RESERVOIR, labels=[0, 1, 2], capacity=0)
@@ -66,9 +73,9 @@ class TestReservoir:
             rng = np.random.default_rng(np.random.SeedSequence([42, run]))
             buf = ReplayBuffer(capacity, RESERVOIR)
             for i in range(n_items):
-                buf.update(item(0, loss=float(i)), rng)
-            for slot in buf.slots:
-                hits[int(slot.loss_score)] += 1
+                offer(buf, 0, rng, loss=float(i))
+            for loss in buf.loss:
+                hits[int(loss)] += 1
         freq = hits / runs
         p = capacity / n_items
         sd = np.sqrt(p * (1 - p) / runs)
@@ -84,7 +91,7 @@ class TestReservoir:
                 rng = np.random.default_rng(np.random.SeedSequence([7, run]))
                 buf = ReplayBuffer(capacity, strategy, class_count=4)
                 for i in range(n_items):
-                    buf.update(item(i % 4, loss=0.1), rng)
+                    offer(buf, i % 4, rng, loss=0.1)
                     admitted[i] += buf.last_insert_slot is not None
             freq = admitted / runs
             p = np.minimum(1.0, capacity / (np.arange(n_items) + 1.0))
@@ -99,17 +106,18 @@ class TestBalancedReservoir:
         for seed in range(200):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1], capacity=3, seed=seed)
             rng = np.random.default_rng(seed)
-            before = list(buf.slots)
-            buf.update(item(2), rng)
+            before = (buf.labels[2], buf.loss[2], buf.features[2].copy())
+            offer(buf, 2, rng)
             if buf.last_insert_slot is not None:
                 assert buf.last_insert_slot in (0, 1)
-                assert buf.slots[2] is before[2]
+                assert buf.labels[2] == before[0] and buf.loss[2] == before[1]
+                np.testing.assert_array_equal(buf.features[2], before[2])
 
     def test_never_evicts_strictly_underrepresented_class(self):
         for seed in range(50):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 0, 1, 2, 2], capacity=6, seed=seed)
             rng = np.random.default_rng(1000 + seed)
-            buf.update(item(3), rng)
+            offer(buf, 3, rng)
             if buf.last_insert_slot is not None:
                 # class 1 (count 1) and class 2 (count 2) are both below the
                 # max count 3, so only class-0 slots are eligible
@@ -122,7 +130,7 @@ class TestBalancedReservoir:
         victims = set()
         for seed in range(300):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 1], capacity=2, seed=seed)
-            buf.update(item(1), np.random.default_rng(seed))
+            offer(buf, 1, np.random.default_rng(seed))
             if buf.last_insert_slot is not None:
                 victims.add(buf.last_insert_slot)
         assert victims == {0, 1}
@@ -131,7 +139,7 @@ class TestBalancedReservoir:
         overwritten = set()
         for seed in range(300):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1, 1], capacity=4, seed=seed)
-            buf.update(item(2), np.random.default_rng(seed))
+            offer(buf, 2, np.random.default_rng(seed))
             if buf.last_insert_slot is not None:
                 overwritten.add(buf.last_insert_slot)
         assert overwritten == {0, 1, 2, 3}
@@ -146,11 +154,11 @@ class TestBalancedReservoir:
                               seed=int(rng.integers(1 << 30)))
             counts = buf.class_counts()
             max_count = max(counts.values())
-            before = list(buf.slots)
-            buf.update(item(9), np.random.default_rng(int(rng.integers(1 << 30))))
+            before = buf.labels.copy()
+            offer(buf, 9, np.random.default_rng(int(rng.integers(1 << 30))))
             slot = buf.last_insert_slot
             if slot is not None:
-                assert counts[before[slot].label] == max_count
+                assert counts[before[slot]] == max_count
 
 
 class TestLarsScores:
@@ -213,7 +221,7 @@ class TestLarsUpdate:
         for seed in range(10_000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 0, 0, 1],
                               losses=[1.0, 3.0, 1.0, 1.0])
-            buf.update(item(2, loss=0.5), np.random.default_rng(seed))
+            offer(buf, 2, np.random.default_rng(seed), loss=0.5)
             if buf.last_insert_slot is not None:
                 hits[buf.last_insert_slot] += 1
         assert hits[1] == 0
@@ -226,7 +234,7 @@ class TestLarsUpdate:
         for seed in range(8000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1, 2, 3],
                               losses=[1.0, 1.0, 1.0, 1.0])
-            buf.update(item(0, loss=0.2), np.random.default_rng(seed))
+            offer(buf, 0, np.random.default_rng(seed), loss=0.2)
             if buf.last_insert_slot is not None:
                 hits[buf.last_insert_slot] += 1
                 admitted += 1
@@ -242,7 +250,7 @@ class TestLarsUpdate:
         admitted = 0
         for seed in range(12_000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=labels, losses=losses)
-            buf.update(item(3, loss=0.5), np.random.default_rng(seed))
+            offer(buf, 3, np.random.default_rng(seed), loss=0.5)
             if buf.last_insert_slot is not None:
                 hits[buf.last_insert_slot] += 1
                 admitted += 1
@@ -255,12 +263,26 @@ class TestRefreshLossScores:
     def test_empty_indices_is_identity(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[1.0, 2.0])
         buf.refresh_loss_scores([], [])
-        assert [s.loss_score for s in buf.slots] == [1.0, 2.0]
+        assert buf.loss.tolist() == [1.0, 2.0]
 
     def test_single_slot_assignment_is_exact(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0], losses=[1.0], capacity=2)
         buf.refresh_loss_scores([0], [0.7])
-        assert buf.slots[0].loss_score == 0.7
+        assert buf.loss[0] == 0.7
+
+    def test_duplicate_slot_keeps_last_loss(self):
+        # draws with replacement repeat slots; the last refresh must win
+        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[5.0, 5.0])
+        buf.refresh_loss_scores([0, 0], [1.0, 2.0])
+        assert buf.loss.tolist() == [2.0, 5.0]
+
+    def test_invalid_input_writes_nothing(self):
+        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[5.0, 5.0], capacity=3)
+        with pytest.raises(IndexError):
+            buf.refresh_loss_scores([0, 2], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            buf.refresh_loss_scores([0, 1], [1.0, -1.0])
+        assert buf.loss[:2].tolist() == [5.0, 5.0]
 
     def test_scores_reflect_refreshed_losses(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 0, 0, 1],
@@ -285,19 +307,19 @@ class TestRing:
         buf = ReplayBuffer(10, RING, class_count=5)
         rng = np.random.default_rng(0)
         for loss in (1.0, 2.0, 3.0):
-            buf.update(item(0, loss=loss), rng)
-        stored = sorted(s.loss_score for s in buf.slots[:2])
+            offer(buf, 0, rng, loss=loss)
+        stored = sorted(buf.loss[:2].tolist())
         assert stored == [2.0, 3.0]
-        assert all(s is None for s in buf.slots[2:])
+        assert np.all(buf.labels[2:] == -1)
 
     def test_one_item_per_class_fills_each_segment(self):
         buf = ReplayBuffer(10, RING, class_count=5)
         rng = np.random.default_rng(0)
         for c in range(5):
-            buf.update(item(c), rng)
+            offer(buf, c, rng)
         assert buf.n_filled == 5
         for c in range(5):
-            assert buf.slots[2 * c].label == c
+            assert buf.labels[2 * c] == c
 
     def test_underexploitation_after_first_task(self):
         # 2 classes of a 10-class protocol seen: at least 3/5 of a ring
@@ -305,14 +327,14 @@ class TestRing:
         buf = ReplayBuffer(100, RING, class_count=10)
         rng = np.random.default_rng(0)
         for i in range(400):
-            buf.update(item(i % 2), rng)
+            offer(buf, i % 2, rng)
         assert buf.n_filled <= 100 * 2 / 5
         assert (100 - buf.n_filled) / 100 >= 3 / 5
 
     def test_label_out_of_range_rejected(self):
         buf = ReplayBuffer(10, RING, class_count=5)
         with pytest.raises(ValueError):
-            buf.update(item(5), np.random.default_rng(0))
+            offer(buf, 5, np.random.default_rng(0))
 
     def test_requires_class_count(self):
         with pytest.raises(ValueError):
@@ -322,9 +344,9 @@ class TestRing:
 class TestDrawReplayBatch:
     def test_single_slot_is_repeated(self):
         buf = fill_buffer(RESERVOIR, labels=[7], capacity=5)
-        ids, items = buf.draw_replay_batch(4, np.random.default_rng(0))
-        assert ids == [0, 0, 0, 0]
-        assert all(it.label == 7 for it in items)
+        ids, _, labels = buf.draw_replay_batch(4, np.random.default_rng(0))
+        assert ids.tolist() == [0, 0, 0, 0]
+        assert all(label == 7 for label in labels)
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
@@ -333,24 +355,24 @@ class TestDrawReplayBatch:
     def test_draw_is_uniform_over_slots(self):
         buf = fill_buffer(RESERVOIR, labels=list(range(20)), capacity=20)
         rng = np.random.default_rng(3)
-        ids, _ = buf.draw_replay_batch(40_000, rng)
+        ids, _, _ = buf.draw_replay_batch(40_000, rng)
         freq = np.bincount(ids, minlength=20) / 40_000
         sd = np.sqrt(0.05 * 0.95 / 40_000)
         assert np.all(np.abs(freq - 0.05) <= 4 * sd)
 
     def test_default_pairing_batch_32_from_capacity_500(self):
         buf = fill_buffer(RESERVOIR, labels=[i % 10 for i in range(500)], capacity=500)
-        ids, items = buf.draw_replay_batch(32, np.random.default_rng(4))
-        assert len(ids) == len(items) == 32
+        ids, feats, labels = buf.draw_replay_batch(32, np.random.default_rng(4))
+        assert len(ids) == len(feats) == len(labels) == 32
         assert all(0 <= i < 500 for i in ids)
 
     def test_draw_from_ring_skips_empty_slots(self):
         buf = ReplayBuffer(10, RING, class_count=5)
         rng = np.random.default_rng(0)
-        buf.update(item(3), rng)
-        ids, items = buf.draw_replay_batch(8, rng)
+        offer(buf, 3, rng)
+        ids, _, labels = buf.draw_replay_batch(8, rng)
         assert set(ids) == {6}
-        assert all(it.label == 3 for it in items)
+        assert all(label == 3 for label in labels)
 
 
 class TestOmissionProbability:
@@ -374,8 +396,8 @@ class TestBufferPlumbing:
     def test_as_arrays_stacks_features_and_labels(self):
         buf = ReplayBuffer(3, RESERVOIR)
         rng = np.random.default_rng(0)
-        buf.update(item(2, features=np.array([0.1, 0.2])), rng)
-        buf.update(item(5, features=np.array([0.3, 0.4])), rng)
+        offer(buf, 2, rng, features=np.array([0.1, 0.2]))
+        offer(buf, 5, rng, features=np.array([0.3, 0.4]))
         feats, labels = buf.as_arrays()
         np.testing.assert_array_equal(feats, [[0.1, 0.2], [0.3, 0.4]])
         np.testing.assert_array_equal(labels, [2, 5])
@@ -388,7 +410,7 @@ class TestBufferPlumbing:
         buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1], capacity=3, seed=5)
         rng = np.random.default_rng(5)
         for _ in range(30):
-            buf.update(item(2), rng)
+            offer(buf, 2, rng)
         counts = buf.class_counts()
         assert sum(counts.values()) == 3
         assert all(v > 0 for v in counts.values())

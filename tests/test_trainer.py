@@ -110,9 +110,9 @@ class TestErTrainStep:
         state = init_state(stream, config)
         task = stream.tasks[0]
         er_train_step(state, task.train_features[:6], task.train_labels[:6], config)
-        before = [s.loss_score for s in state.buffer.slots]
+        before = state.buffer.loss.tolist()
         er_train_step(state, task.train_features[6:12], task.train_labels[6:12], config)
-        after = [s.loss_score for s in state.buffer.slots[:len(before)]]
+        after = state.buffer.loss[:len(before)].tolist()
         assert any(a != b for a, b in zip(after, before))
 
     def test_empty_batch_rejected(self):
@@ -237,8 +237,7 @@ class TestDataFlowIsolation:
         state_b, _ = run_training(tampered, config)
         np.testing.assert_array_equal(state_a.model.flat_params(),
                                       state_b.model.flat_params())
-        assert [s.loss_score for s in state_a.buffer.slots] == \
-               [s.loss_score for s in state_b.buffer.slots]
+        assert state_a.buffer.loss.tolist() == state_b.buffer.loss.tolist()
 
     def test_buffer_holds_raw_stream_features_with_iba(self):
         stream = small_stream()
@@ -247,8 +246,8 @@ class TestDataFlowIsolation:
         state, _ = run_training(stream, config)
         raw_rows = {row.tobytes()
                     for task in stream.tasks for row in task.train_features}
-        for slot in state.buffer.slots:
-            assert slot.features.tobytes() in raw_rows
+        for row in state.buffer.features[state.buffer.labels >= 0]:
+            assert row.tobytes() in raw_rows
 
 
 class TestCorrectionsDuringRuns:
