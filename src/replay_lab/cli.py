@@ -459,14 +459,8 @@ class _BrokenReluBackwardMlp(Mlp):
     gradient checker must reject it."""
 
     def backward(self, cache, dlogits):
-        activations, pres = cache["activations"], cache["pres"]
-        delta = np.asarray(dlogits, dtype=float)
-        self.weight_grads[-1] += activations[-1].T @ delta
-        self.bias_grads[-1] += delta.sum(axis=0)
-        for layer in range(self.n_layers - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1].T) * (pres[layer] <= 0.0)
-            self.weight_grads[layer] += activations[layer].T @ delta
-            self.bias_grads[layer] += delta.sum(axis=0)
+        # negated pre-activations make the ReLU mask select the dead units
+        super().backward(dict(cache, pres=[-p for p in cache["pres"]]), dlogits)
 
 
 def _corrupted_gradient_check(seed: int) -> bool:

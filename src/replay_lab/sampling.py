@@ -201,16 +201,19 @@ class ReplayBuffer:
         whole input is validated before anything is written; for a slot
         listed more than once, its last loss wins.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         losses = np.asarray(losses, dtype=float)
         if len(indices) != len(losses):
             raise ValueError("indices and losses must have the same length")
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise IndexError(f"slot indices must be integers, got dtype {indices.dtype}")
         unfilled = ~np.isin(indices, self.filled_ids())
         if unfilled.any():
             raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
-        if np.any(losses < 0):
-            raise ValueError(f"loss scores must be >= 0, got {losses[losses < 0][0]}")
-        self.loss[indices] = losses
+        bad = ~(losses >= 0)  # also catches NaN
+        if bad.any():
+            raise ValueError(f"loss scores must be >= 0, got {losses[bad][0]}")
+        self.loss[indices.astype(np.int64)] = losses
 
 
 def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:

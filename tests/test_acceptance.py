@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from replay_lab.augmentation import AugPolicy, replay_with_iba
-from replay_lab.cli import balance_toy, main, monte_carlo_omission
+from replay_lab.cli import _BrokenReluBackwardMlp, balance_toy, main, monte_carlo_omission
 from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.evaluation import kl_to_uniform
@@ -115,20 +115,6 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
           f"{admission_ok['lars']:.1%} (lars)")
 
 
-class _InvertedReluMaskMlp(Mlp):
-    """Deliberately corrupted backward: the ReLU mask is flipped."""
-
-    def backward(self, cache, dlogits):
-        activations, pres = cache["activations"], cache["pres"]
-        delta = np.asarray(dlogits, dtype=float)
-        self.weight_grads[-1] += activations[-1].T @ delta
-        self.bias_grads[-1] += delta.sum(axis=0)
-        for layer in range(self.n_layers - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1].T) * (pres[layer] <= 0.0)
-            self.weight_grads[layer] += activations[layer].T @ delta
-            self.bias_grads[layer] += delta.sum(axis=0)
-
-
 def test_criterion_04_gradient_correctness_and_mutation_detection():
     worst_overall = 0.0
     for seed in range(20):
@@ -145,7 +131,7 @@ def test_criterion_04_gradient_correctness_and_mutation_detection():
         assert ok, f"seed {seed} dims {dims} worst residual {worst}"
 
     rng = np.random.default_rng(7)
-    broken = _InvertedReluMaskMlp([5, 6, 4], rng)
+    broken = _BrokenReluBackwardMlp([5, 6, 4], rng)
     for b in broken.biases:
         b[:] = rng.uniform(0.05, 0.2, size=b.shape)
     x = rng.uniform(size=(4, 5))

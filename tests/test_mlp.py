@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from replay_lab.cli import _BrokenReluBackwardMlp
 from replay_lab.mlp import (Mlp, finite_difference_grads, gradient_check,
                             softmax, softmax_cross_entropy)
 
@@ -187,22 +188,14 @@ class TestBackward:
             model.backward(None, np.zeros((1, 2)))
 
 
-class _InvertedMaskMlp(Mlp):
-    """Backward with the ReLU mask flipped (negated pre-activations select
-    the dead units): a gradient the check must reject."""
-
-    def backward(self, cache, dlogits):
-        super().backward(dict(cache, pres=[-p for p in cache["pres"]]), dlogits)
-
-
 class TestGradientCheckOnSubclasses:
     def test_copy_keeps_the_subclass(self):
-        model = _InvertedMaskMlp([3, 4, 2], np.random.default_rng(0))
-        assert type(model.copy()) is _InvertedMaskMlp
+        model = _BrokenReluBackwardMlp([3, 4, 2], np.random.default_rng(0))
+        assert type(model.copy()) is _BrokenReluBackwardMlp
 
     def test_overridden_backward_with_inverted_mask_is_rejected(self):
         rng = np.random.default_rng(5)
-        model = _InvertedMaskMlp([6, 8, 5], rng)
+        model = _BrokenReluBackwardMlp([6, 8, 5], rng)
         x = rng.uniform(size=(4, 6))
         y = rng.integers(0, 5, size=4)
         ok, worst = gradient_check(model, x, y)

@@ -36,12 +36,13 @@ class TestFillPhase:
     @pytest.mark.parametrize("strategy", [RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
     def test_fill_is_contiguous_append(self, strategy):
         buf = fill_buffer(strategy, labels=[5, 1, 4], capacity=8)
-        assert buf.labels[buf.labels >= 0].tolist() == [5, 1, 4]
+        assert buf.labels.tolist() == [5, 1, 4, -1, -1, -1, -1, -1]
         assert buf.n_filled == 3
 
     def test_lars_fill_stores_loss(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[0.3, 2.0], capacity=4)
-        assert buf.loss[buf.labels >= 0].tolist() == [0.3, 2.0]
+        assert buf.loss[:2].tolist() == [0.3, 2.0]
+        assert buf.labels[2:].tolist() == [-1, -1]
 
     def test_seen_count_increments_by_one_per_update(self):
         buf = fill_buffer(RESERVOIR, labels=[0] * 40, capacity=5)
@@ -282,6 +283,10 @@ class TestRefreshLossScores:
             buf.refresh_loss_scores([0, 2], [1.0, 1.0])
         with pytest.raises(ValueError):
             buf.refresh_loss_scores([0, 1], [1.0, -1.0])
+        with pytest.raises(ValueError):
+            buf.refresh_loss_scores([0, 1], [1.0, float("nan")])
+        with pytest.raises(IndexError):
+            buf.refresh_loss_scores([0.0, 1.7], [1.0, 1.0])
         assert buf.loss[:2].tolist() == [5.0, 5.0]
 
     def test_scores_reflect_refreshed_losses(self):
