@@ -3,8 +3,7 @@ from-scratch MLP, with reservoir-buffer variants, independent buffer
 augmentation, bias-correction layers, and exponential learning-rate decay."""
 
 from .augmentation import AugPolicy, augment, replay_with_iba
-from .bias_correction import (BiasFitConfig, BicLayer, CbicLayer, apply_bic,
-                              apply_cbic, apply_correction, fit_bic, fit_cbic)
+from .bias_correction import BiasFitConfig, BicLayer, CbicLayer, fit_bic, fit_cbic
 from .datasets import (Dataset, IdxFormatError, Task, TaskStream,
                        load_fashion_mnist, make_class_il_tasks,
                        parse_idx_images, parse_idx_labels, read_idx_file,

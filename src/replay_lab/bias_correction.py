@@ -8,6 +8,9 @@ frozen and applied to logits at evaluation time only:
 * ``CbicLayer`` -- one additive offset per task, applied to every logit of
   that task's classes; the first task's offset is pinned to zero to remove
   the softmax shift degeneracy.
+
+Each layer corrects logits with ``.apply()`` and describes itself for the
+run report with ``.summary()``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ class BicLayer:
         if not self.last_task_classes:
             raise ValueError("last_task_classes must be non-empty")
 
+    def apply(self, logits: np.ndarray) -> np.ndarray:
+        """q_k = alpha * o_k + beta on the last task's classes, identity elsewhere."""
+        logits = np.asarray(logits, dtype=float)
+        idx = _class_index(self.last_task_classes, logits.shape[-1])
+        out = logits.copy()
+        out[..., idx] = self.alpha * logits[..., idx] + self.beta
+        return out
+
+    def summary(self) -> dict:
+        """The correction as the run report records it."""
+        return {"type": "bic", "alpha": float(self.alpha), "beta": float(self.beta),
+                "classes": sorted(self.last_task_classes)}
+
 
 @dataclass(frozen=True)
 class CbicLayer:
@@ -49,60 +65,50 @@ class CbicLayer:
         if tasks and (min(tasks) < 0 or max(tasks) >= len(self.betas)):
             raise ValueError("task ids must index into betas")
 
+    def apply(self, logits: np.ndarray) -> np.ndarray:
+        """q_k = o_k + beta_{task(k)} for every class k."""
+        logits = np.asarray(logits, dtype=float)
+        k = logits.shape[-1]
+        missing = [c for c in range(k) if c not in self.task_partition]
+        if missing:
+            raise ValueError(f"classes {missing} are not mapped to any task")
+        task_idx = np.array([self.task_partition[c] for c in range(k)])
+        return logits + self.betas[task_idx]
 
-def apply_bic(layer: BicLayer, logits: np.ndarray) -> np.ndarray:
-    """q_k = alpha * o_k + beta on the last task's classes, identity elsewhere."""
-    logits = np.asarray(logits, dtype=float)
-    idx = sorted(layer.last_task_classes)
-    if idx[-1] >= logits.shape[-1]:
-        raise ValueError(f"class id {idx[-1]} out of range for {logits.shape[-1]} logits")
-    out = logits.copy()
-    out[..., idx] = layer.alpha * logits[..., idx] + layer.beta
-    return out
-
-
-def apply_cbic(layer: CbicLayer, logits: np.ndarray) -> np.ndarray:
-    """q_k = o_k + beta_{task(k)} for every class k."""
-    logits = np.asarray(logits, dtype=float)
-    k = logits.shape[-1]
-    missing = [c for c in range(k) if c not in layer.task_partition]
-    if missing:
-        raise ValueError(f"classes {missing} are not mapped to any task")
-    task_idx = np.array([layer.task_partition[c] for c in range(k)])
-    return logits + layer.betas[task_idx]
+    def summary(self) -> dict:
+        """The correction as the run report records it."""
+        return {"type": "cbic", "betas": self.betas.tolist()}
 
 
-def apply_correction(correction, logits: np.ndarray) -> np.ndarray:
-    """Dispatch on the correction type; ``None`` passes logits through."""
-    if correction is None:
-        return np.asarray(logits, dtype=float)
-    if isinstance(correction, BicLayer):
-        return apply_bic(correction, logits)
-    if isinstance(correction, CbicLayer):
-        return apply_cbic(correction, logits)
-    raise TypeError(f"unknown correction type {type(correction)!r}")
+def _class_index(classes, n_logits: int) -> list[int]:
+    idx = sorted(classes)
+    if idx[-1] >= n_logits:
+        raise ValueError(f"class id {idx[-1]} out of range for {n_logits} logits")
+    return idx
 
 
-def _buffer_logits(model: Mlp, buffer: ReplayBuffer) -> tuple[np.ndarray, np.ndarray]:
-    # The backbone is frozen during fitting, so its logits on the buffer are
-    # computed once and reused across epochs.
+def _descend(model: Mlp, buffer: ReplayBuffer, params: np.ndarray, corrected, grad,
+             config: BiasFitConfig, rng: np.random.Generator) -> np.ndarray:
+    """Minibatch gradient descent of ``params`` on the buffer cross-entropy.
+
+    ``corrected(params, o)`` maps raw logits ``o`` to corrected ones and
+    ``grad(dq, o)`` maps the loss gradient at the corrected logits to the
+    gradient of ``params``. The backbone is frozen during fitting, so its
+    logits on the buffer are computed once and reused across epochs.
+    """
     feats, labels = buffer.as_arrays()
     logits, _ = model.forward(feats)
-    return logits, labels
-
-
-def _corrected_ce(q: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    probs = softmax(q)
-    n = q.shape[0]
-    per = -np.log(np.maximum(probs[np.arange(n), labels], 1e-300))
-    dq = (probs - _onehot(labels, q.shape[1])) / n
-    return float(per.mean()), dq
-
-
-def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    for _ in range(config.epochs):
+        order = rng.permutation(logits.shape[0])
+        for start in range(0, order.size, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            o = logits[rows]
+            # gradient of the mean cross-entropy: (softmax - onehot) / n
+            dq = softmax(corrected(params, o))
+            dq[np.arange(rows.size), labels[rows]] -= 1.0
+            dq /= rows.size
+            params -= config.lr * grad(dq, o)
+    return params
 
 
 def fit_bic(model: Mlp, buffer: ReplayBuffer, last_task_classes,
@@ -115,24 +121,18 @@ def fit_bic(model: Mlp, buffer: ReplayBuffer, last_task_classes,
     classes = frozenset(int(c) for c in last_task_classes)
     if not classes:
         raise ValueError("last_task_classes must be non-empty")
-    logits, labels = _buffer_logits(model, buffer)
-    idx = sorted(classes)
-    if idx[-1] >= logits.shape[1]:
-        raise ValueError(f"class id {idx[-1]} out of range for {logits.shape[1]} logits")
-    alpha, beta = 1.0, 0.0
-    for _ in range(config.epochs):
-        order = rng.permutation(logits.shape[0])
-        for start in range(0, order.size, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            o, y = logits[rows], labels[rows]
-            q = o.copy()
-            q[:, idx] = alpha * o[:, idx] + beta
-            _, dq = _corrected_ce(q, y)
-            d_alpha = float((dq[:, idx] * o[:, idx]).sum())
-            d_beta = float(dq[:, idx].sum())
-            alpha -= config.lr * d_alpha
-            beta -= config.lr * d_beta
-    return BicLayer(alpha=alpha, beta=beta, last_task_classes=classes)
+    idx = _class_index(classes, model.layer_dims[-1])
+
+    def corrected(p, o):
+        q = o.copy()
+        q[:, idx] = p[0] * o[:, idx] + p[1]
+        return q
+
+    def grad(dq, o):
+        return np.array([(dq[:, idx] * o[:, idx]).sum(), dq[:, idx].sum()])
+
+    alpha, beta = _descend(model, buffer, np.array([1.0, 0.0]), corrected, grad, config, rng)
+    return BicLayer(alpha=float(alpha), beta=float(beta), last_task_classes=classes)
 
 
 def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
@@ -144,21 +144,19 @@ def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
     classes outside it (not yet encountered mid-stream) pass through
     uncorrected during fitting.
     """
-    logits, labels = _buffer_logits(model, buffer)
-    k = logits.shape[1]
+    k = model.layer_dims[-1]
     n_tasks = max(task_partition.values()) + 1
     mapped = np.array([c in task_partition for c in range(k)])
     task_idx = np.array([task_partition.get(c, 0) for c in range(k)])
-    betas = np.zeros(n_tasks)
-    for _ in range(config.epochs):
-        order = rng.permutation(logits.shape[0])
-        for start in range(0, order.size, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            o, y = logits[rows], labels[rows]
-            q = o + np.where(mapped, betas[task_idx], 0.0)
-            _, dq = _corrected_ce(q, y)
-            d_betas = np.zeros(n_tasks)
-            np.add.at(d_betas, task_idx[mapped], dq.sum(axis=0)[mapped])
-            d_betas[0] = 0.0
-            betas -= config.lr * d_betas
+
+    def corrected(betas, o):
+        return o + np.where(mapped, betas[task_idx], 0.0)
+
+    def grad(dq, o):
+        d_betas = np.zeros(n_tasks)
+        np.add.at(d_betas, task_idx[mapped], dq.sum(axis=0)[mapped])
+        d_betas[0] = 0.0
+        return d_betas
+
+    betas = _descend(model, buffer, np.zeros(n_tasks), corrected, grad, config, rng)
     return CbicLayer(betas=betas, task_partition=dict(task_partition))

@@ -8,7 +8,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .bias_correction import apply_correction
 from .datasets import TaskStream
 from .mlp import Mlp, softmax
 from .sampling import ReplayBuffer
@@ -45,7 +44,7 @@ class RunReport:
 
 def _corrected_logits(model: Mlp, correction, features: np.ndarray) -> np.ndarray:
     logits, _ = model.forward(features)
-    return apply_correction(correction, logits)
+    return logits if correction is None else correction.apply(logits)
 
 
 def average_final_accuracy(model: Mlp, correction,

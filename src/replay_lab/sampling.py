@@ -19,6 +19,7 @@ a buffer is owned by a single training run and mutated sequentially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,12 @@ class ReplayBuffer:
 
         An admitted item is copied into its slot. Always increments
         ``seen_count`` by exactly 1. Afterwards, ``last_insert_slot`` holds
-        the slot the item went into, or None when it was not admitted.
+        the slot the item went into, or None when it was not admitted. The
+        loss must be finite and >= 0.
         """
         if label < 0:
             raise ValueError(f"labels must be >= 0, got {label}")
+        _check_loss(loss)
         self.last_insert_slot = None
         if self.capacity > 0:
             slot = self._ring_slot(label) if self.strategy == RING else self._reservoir_slot(rng)
@@ -210,10 +213,16 @@ class ReplayBuffer:
         unfilled = ~np.isin(indices, self.filled_ids())
         if unfilled.any():
             raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
-        bad = ~(losses >= 0)  # also catches NaN
-        if bad.any():
-            raise ValueError(f"loss scores must be >= 0, got {losses[bad][0]}")
+        for loss in losses.tolist():
+            _check_loss(loss)
         self.loss[indices.astype(np.int64)] = losses
+
+
+def _check_loss(loss: float) -> None:
+    # A NaN or infinite stored loss makes the LARS scores NaN, which turns
+    # eviction silently uniform.
+    if not 0.0 <= loss < math.inf:
+        raise ValueError(f"loss scores must be finite and >= 0, got {loss}")
 
 
 def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:

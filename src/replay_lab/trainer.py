@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 
 from .augmentation import AugPolicy, augment, replay_with_iba
-from .bias_correction import BiasFitConfig, fit_bic, fit_cbic
+from .bias_correction import BiasFitConfig, BicLayer, CbicLayer, fit_bic, fit_cbic
 from .datasets import Task, TaskStream
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
@@ -137,7 +137,7 @@ class TrainState:
     examples_seen: int = 0
     task_index: int = 0
     task_step: int = 0
-    correction: object | None = None
+    correction: BicLayer | CbicLayer | None = None
 
 
 @dataclass
@@ -308,7 +308,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
         buffer_class_counts=state.buffer.class_counts(),
         buffer_balance_mse=mse,
         buffer_slot_audit=state.buffer.audit(),
-        correction=_correction_summary(state.correction),
+        correction=None if state.correction is None else state.correction.summary(),
         examples_seen=state.examples_seen,
         wall_clock_seconds=time.perf_counter() - t_start,
         config=config_dict(config),
@@ -326,16 +326,6 @@ def _train_one_task(state: TrainState, task: Task, config: TrainConfig) -> list[
             infos.append(er_train_step(state, task.train_features[rows],
                                        task.train_labels[rows], config))
     return infos
-
-
-def _correction_summary(correction) -> dict | None:
-    if correction is None:
-        return None
-    if hasattr(correction, "alpha"):
-        return {"type": "bic", "alpha": float(correction.alpha),
-                "beta": float(correction.beta),
-                "classes": sorted(correction.last_task_classes)}
-    return {"type": "cbic", "betas": [float(b) for b in correction.betas]}
 
 
 def config_dict(config: TrainConfig) -> dict:

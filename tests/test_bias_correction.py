@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from replay_lab.bias_correction import (BiasFitConfig, BicLayer, CbicLayer,
-                                        apply_bic, apply_cbic, apply_correction,
                                         fit_bic, fit_cbic)
 from replay_lab.mlp import Mlp, softmax
 from replay_lab.sampling import ReplayBuffer
@@ -37,25 +36,25 @@ class TestApplyBic:
     def test_identity_correction(self):
         layer = BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset({2, 3}))
         logits = np.array([[1.0, -2.0, 0.5, 3.0]])
-        np.testing.assert_array_equal(apply_bic(layer, logits), logits)
+        np.testing.assert_array_equal(layer.apply(logits), logits)
 
     def test_hand_computed_piecewise_example(self):
         layer = BicLayer(alpha=0.5, beta=-1.0, last_task_classes=frozenset({2, 3}))
-        out = apply_bic(layer, np.array([1.0, 2.0, 3.0, 4.0]))
+        out = layer.apply(np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(out, [1.0, 2.0, 0.5, 1.0], atol=1e-15)
 
     def test_non_last_logits_bit_identical_and_input_untouched(self):
         layer = BicLayer(alpha=2.0, beta=0.3, last_task_classes=frozenset({1}))
         logits = np.random.default_rng(1).normal(size=(5, 4))
         copy = logits.copy()
-        out = apply_bic(layer, logits)
+        out = layer.apply(logits)
         np.testing.assert_array_equal(logits, copy)
         np.testing.assert_array_equal(out[:, [0, 2, 3]], logits[:, [0, 2, 3]])
 
     def test_class_out_of_range_rejected(self):
         layer = BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset({5}))
         with pytest.raises(ValueError):
-            apply_bic(layer, np.zeros((2, 4)))
+            layer.apply(np.zeros((2, 4)))
 
     def test_empty_class_set_rejected(self):
         with pytest.raises(ValueError):
@@ -64,19 +63,19 @@ class TestApplyBic:
     def test_all_classes_last_is_a_global_affine_map(self):
         layer = BicLayer(alpha=0.5, beta=2.0, last_task_classes=frozenset({0, 1, 2}))
         logits = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(apply_bic(layer, logits), 0.5 * logits + 2.0)
+        np.testing.assert_allclose(layer.apply(logits), 0.5 * logits + 2.0)
 
 
 class TestApplyCbic:
     def test_zero_betas_is_identity(self):
         layer = CbicLayer(betas=np.zeros(2), task_partition={0: 0, 1: 0, 2: 1, 3: 1})
         logits = np.random.default_rng(2).normal(size=(3, 4))
-        np.testing.assert_array_equal(apply_cbic(layer, logits), logits)
+        np.testing.assert_array_equal(layer.apply(logits), logits)
 
     def test_hand_computed_offsets(self):
         layer = CbicLayer(betas=np.array([0.5, -0.5]),
                           task_partition={0: 0, 1: 0, 2: 1, 3: 1})
-        out = apply_cbic(layer, np.zeros(4))
+        out = layer.apply(np.zeros(4))
         np.testing.assert_allclose(out, [0.5, 0.5, -0.5, -0.5], atol=1e-15)
 
     def test_common_constant_leaves_predictions_unchanged(self):
@@ -84,15 +83,15 @@ class TestApplyCbic:
         logits = np.random.default_rng(3).normal(size=(10, 4))
         a = CbicLayer(betas=np.array([0.2, -0.7]), task_partition=partition)
         b = CbicLayer(betas=np.array([0.2 + 5.0, -0.7 + 5.0]), task_partition=partition)
-        np.testing.assert_array_equal(np.argmax(apply_cbic(a, logits), axis=1),
-                                      np.argmax(apply_cbic(b, logits), axis=1))
-        np.testing.assert_allclose(softmax(apply_cbic(a, logits)),
-                                   softmax(apply_cbic(b, logits)), atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(a.apply(logits), axis=1),
+                                      np.argmax(b.apply(logits), axis=1))
+        np.testing.assert_allclose(softmax(a.apply(logits)),
+                                   softmax(b.apply(logits)), atol=1e-12)
 
     def test_unmapped_class_rejected(self):
         layer = CbicLayer(betas=np.zeros(1), task_partition={0: 0, 1: 0})
         with pytest.raises(ValueError):
-            apply_cbic(layer, np.zeros((1, 3)))
+            layer.apply(np.zeros((1, 3)))
 
     def test_bic_with_unit_alpha_equals_single_task_cbic(self):
         logits = np.random.default_rng(4).normal(size=(6, 4))
@@ -100,14 +99,8 @@ class TestApplyCbic:
         bic = BicLayer(alpha=1.0, beta=beta, last_task_classes=frozenset({2, 3}))
         cbic = CbicLayer(betas=np.array([0.0, beta]),
                          task_partition={0: 0, 1: 0, 2: 1, 3: 1})
-        np.testing.assert_allclose(apply_bic(bic, logits), apply_cbic(cbic, logits),
+        np.testing.assert_allclose(bic.apply(logits), cbic.apply(logits),
                                    atol=1e-15)
-
-    def test_apply_correction_dispatch(self):
-        logits = np.ones((2, 2))
-        np.testing.assert_array_equal(apply_correction(None, logits), logits)
-        with pytest.raises(TypeError):
-            apply_correction(object(), logits)
 
 
 def solve_wrong_scale(s=1.0):
@@ -161,17 +154,23 @@ class TestFitBic:
         feats, labels = buf.as_arrays()
         logits, _ = model.forward(feats)
 
-        def buffer_ce(correction):
-            q = apply_correction(correction, logits)
+        def buffer_ce(q):
             probs = softmax(q)
             return float(-np.log(probs[np.arange(4), labels]).mean())
 
-        assert buffer_ce(layer) < buffer_ce(None)
+        assert buffer_ce(layer.apply(logits)) < buffer_ce(logits)
 
     def test_zero_epochs_returns_identity(self):
         model, buf = self.identity_optimum_setup()
         layer = fit_bic(model, buf, {1}, BiasFitConfig(epochs=0), np.random.default_rng(8))
         assert (layer.alpha, layer.beta) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("classes", [set(), {2}])
+    def test_bad_class_set_rejected(self, classes):
+        # empty, or a class id past the model's two logits
+        model, buf = self.identity_optimum_setup()
+        with pytest.raises(ValueError):
+            fit_bic(model, buf, classes, BiasFitConfig(), np.random.default_rng(16))
 
     def test_backbone_parameters_untouched(self):
         model, buf = self.identity_optimum_setup()
@@ -214,7 +213,7 @@ class TestFitCbic:
                          np.random.default_rng(12))
         np.testing.assert_array_equal(layer.betas, [0.0])
         logits = np.random.default_rng(13).normal(size=(3, 2))
-        np.testing.assert_array_equal(apply_cbic(layer, logits), logits)
+        np.testing.assert_array_equal(layer.apply(logits), logits)
 
     def test_partial_partition_allowed_during_fitting(self):
         # mid-stream fit: only the first task's classes are mapped

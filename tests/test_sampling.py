@@ -57,6 +57,16 @@ class TestFillPhase:
             offer(buf, -1, np.random.default_rng(0))
         assert buf.n_filled == 0
 
+    @pytest.mark.parametrize("loss", [float("nan"), -1.0, float("inf")])
+    def test_bad_loss_rejected(self, loss):
+        # a NaN or infinite stored loss would turn LARS eviction silently uniform
+        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1, 0], losses=[1.0, 2.0, 0.5],
+                          capacity=4)
+        with pytest.raises(ValueError):
+            offer(buf, 2, np.random.default_rng(0), loss=loss)
+        assert buf.seen_count == 3
+        assert buf.labels[3] == -1
+
     def test_capacity_zero_is_a_no_op_store(self):
         buf = fill_buffer(RESERVOIR, labels=[0, 1, 2], capacity=0)
         assert buf.seen_count == 3
@@ -285,6 +295,8 @@ class TestRefreshLossScores:
             buf.refresh_loss_scores([0, 1], [1.0, -1.0])
         with pytest.raises(ValueError):
             buf.refresh_loss_scores([0, 1], [1.0, float("nan")])
+        with pytest.raises(ValueError):
+            buf.refresh_loss_scores([0, 1], [1.0, float("inf")])
         with pytest.raises(IndexError):
             buf.refresh_loss_scores([0.0, 1.7], [1.0, 1.0])
         assert buf.loss[:2].tolist() == [5.0, 5.0]

@@ -24,6 +24,7 @@ BASE = dict(buffer_capacity=18, replay_batch_size=8, stream_batch_size=10,
 CASES = {
     "reservoir": dict(),
     "brs-cbic": dict(brs=True, cbic=True),
+    "sgd-cbic": dict(replay_enabled=False, cbic=True),
     "lars-bic-elrd": dict(lars=True, bic=True, elrd=True),
     "ring": dict(base_strategy="ring"),
     "iba-stream-aug": dict(iba=True, aug_stream_enabled=True, aug_max_shift=1,
@@ -35,6 +36,8 @@ DIGESTS = {
         "be39f08d642352282588ed4f9cc7a05352f96f5ab00eec83b3dfba2441801732",
     "brs-cbic":
         "4c6b938a7fe1bc87325bfd994652a492c8319c5210bfb5af8368d305d0964937",
+    "sgd-cbic":
+        "fa413d76c09944442989e11805ef446cd577d83950aa42471bcc34b10a1f7a36",
     "lars-bic-elrd":
         "faaf30c63576928c3d8ab3b8bf05fd6945adca1a1e39c6d1c46f098b476f5830",
     "ring":
