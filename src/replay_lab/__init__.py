@@ -7,8 +7,7 @@ from .bias_correction import BiasFitConfig, BicLayer, CbicLayer, fit_bic, fit_cb
 from .datasets import (Dataset, IdxFormatError, Task, TaskStream,
                        load_fashion_mnist, make_class_il_tasks,
                        parse_idx_images, parse_idx_labels, read_idx_file,
-                       split_validation, synthetic_class_il_stream,
-                       synthetic_stream, to_idx_images, to_idx_labels)
+                       synthetic_class_il_stream, to_idx_images, to_idx_labels)
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          kl_to_uniform, task_prediction_distribution)
 from .mlp import (Mlp, finite_difference_grads, gradient_check, softmax,

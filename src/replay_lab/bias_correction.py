@@ -142,10 +142,12 @@ def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
     Offsets start at zero; the first task's offset stays pinned at zero.
     The partition needs to cover only the classes seen so far: logits of
     classes outside it (not yet encountered mid-stream) pass through
-    uncorrected during fitting.
+    uncorrected during fitting. A class id the model has no logit for is
+    rejected.
     """
     k = model.layer_dims[-1]
     n_tasks = max(task_partition.values()) + 1
+    _class_index(task_partition, k)
     mapped = np.array([c in task_partition for c in range(k)])
     task_idx = np.array([task_partition.get(c, 0) for c in range(k)])
 

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +103,6 @@ CONFIG_KEYS: dict[str, tuple[object, object]] = {
     "aug.max_shift": (0, int),
     "aug.hflip_prob": (0.0, float),
     "aug.stream_enabled": (False, _parse_bool),
-    "aug.iba_enabled": (False, _parse_bool),        # equivalent to tricks += iba
     "image_dims": ((), _parse_int_list),            # empty -> inferred
     "bias.epochs": (50, int),
     "bias.batch_size": (32, int),
@@ -198,36 +197,18 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    tricks = cfg["tricks"]
-    image_dims = tuple(cfg["image_dims"])
-    if not image_dims:
-        image_dims = (28, 28, 1) if cfg["dataset"] == "fashion-mnist" else None
+    """Copy every config key whose name, with ``.`` read as ``_``, is a
+    ``TrainConfig`` field (``bias.lr`` -> ``bias_lr``); each trick token
+    sets the boolean of the same name. Empty ``image_dims`` is inferred
+    from the dataset."""
+    names = {f.name for f in fields(TrainConfig)}
+    kwargs = {key.replace(".", "_"): val for key, val in cfg.values.items()
+              if key.replace(".", "_") in names}
+    kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
+    kwargs["image_dims"] = tuple(cfg["image_dims"]) or (
+        (28, 28, 1) if cfg["dataset"] == "fashion-mnist" else None)
     try:
-        return TrainConfig(
-            buffer_capacity=cfg["buffer_capacity"],
-            replay_batch_size=cfg["replay_batch_size"],
-            stream_batch_size=cfg["stream_batch_size"],
-            epochs_per_task=cfg["epochs_per_task"],
-            hidden_dims=tuple(cfg["hidden_dims"]),
-            lr0=cfg["lr0"],
-            decay_fraction=cfg["decay_fraction"],
-            iba="iba" in tricks or cfg["aug.iba_enabled"],
-            bic="bic" in tricks,
-            cbic="cbic" in tricks,
-            elrd="elrd" in tricks,
-            brs="brs" in tricks,
-            lars="lars" in tricks,
-            base_strategy=cfg["base_strategy"],
-            replay_enabled=cfg["replay_enabled"],
-            aug_max_shift=cfg["aug.max_shift"],
-            aug_hflip_prob=cfg["aug.hflip_prob"],
-            aug_stream_enabled=cfg["aug.stream_enabled"],
-            image_dims=image_dims,
-            bias_epochs=cfg["bias.epochs"],
-            bias_batch_size=cfg["bias.batch_size"],
-            bias_lr=cfg["bias.lr"],
-            seed=seed,
-        )
+        return TrainConfig(**kwargs, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -80,13 +80,6 @@ class TaskStream:
     def feature_dim(self) -> int:
         return self.tasks[0].train_features.shape[1]
 
-    def task_of_class(self) -> dict[int, int]:
-        mapping = {}
-        for t, task in enumerate(self.tasks):
-            for c in task.class_ids:
-                mapping[c] = t
-        return mapping
-
 
 # -- IDX parsing --------------------------------------------------------------
 
@@ -223,23 +216,6 @@ def make_class_il_tasks(train: Dataset, test: Dataset, classes_per_task: int,
     return TaskStream(tasks=tasks, class_count=train.class_count)
 
 
-def synthetic_stream(class_count: int, per_class: int, feature_dim: int,
-                     separation: float, rng: np.random.Generator,
-                     split: str = "train") -> Dataset:
-    """Isotropic unit Gaussian blobs, one per class, min-max rescaled into
-    [0, 1].
-
-    Raw class means sit on the coordinate axes (cycling with growing
-    magnitude when classes outnumber dimensions), pairwise at least
-    ``separation`` apart, so larger separation means more separable classes.
-    Examples are ordered class by class.
-    """
-    if class_count < 1 or per_class < 1 or feature_dim < 1:
-        raise ValueError("class_count, per_class, and feature_dim must be positive")
-    features, labels = _raw_blobs(class_count, per_class, feature_dim, separation, rng)
-    return Dataset(_rescale_unit(features), labels, class_count=class_count, split=split)
-
-
 def synthetic_class_il_stream(class_count: int, per_class_train: int,
                               per_class_test: int, feature_dim: int,
                               separation: float, classes_per_task: int,
@@ -283,16 +259,3 @@ def _rescale_unit(features: np.ndarray) -> np.ndarray:
     span[span == 0.0] = 1.0
     return (features - lo) / span
 
-
-def split_validation(dataset: Dataset, n_val: int,
-                     rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Carve a seeded validation subset out of a training set."""
-    if not 0 < n_val < len(dataset):
-        raise ValueError(f"n_val must be in (0, {len(dataset)}), got {n_val}")
-    perm = rng.permutation(len(dataset))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    val = Dataset(dataset.features[val_idx], dataset.labels[val_idx],
-                  dataset.class_count, "validation")
-    train = Dataset(dataset.features[train_idx], dataset.labels[train_idx],
-                    dataset.class_count, dataset.split)
-    return train, val

@@ -8,11 +8,7 @@ of several batch means) and are cleared by ``sgd_step``.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-
-_CHECKPOINT_MAGIC = b"RLMLP1\x00\x00"
 
 
 class Mlp:
@@ -137,32 +133,6 @@ class Mlp:
         dup.weight_grads = [g.copy() for g in self.weight_grads]
         dup.bias_grads = [g.copy() for g in self.bias_grads]
         return dup
-
-    def save(self, path) -> None:
-        """Checkpoint parameters as a little-endian binary blob.
-
-        Layout: 8-byte magic, uint32 layer-dim count, the dims as uint32,
-        then all parameters in ``flat_params`` order as float64.
-        """
-        with open(path, "wb") as fh:
-            fh.write(_CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(self.layer_dims)))
-            fh.write(struct.pack(f"<{len(self.layer_dims)}I", *self.layer_dims))
-            fh.write(self.flat_params().astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "Mlp":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:8] != _CHECKPOINT_MAGIC:
-            raise ValueError("not a replay-lab MLP checkpoint")
-        (n_dims,) = struct.unpack_from("<I", blob, 8)
-        dims = struct.unpack_from(f"<{n_dims}I", blob, 12)
-        model = cls(dims, np.random.default_rng(0))
-        params = np.frombuffer(blob, dtype="<f8", offset=12 + 4 * n_dims)
-        model.set_flat_params(params)
-        model.zero_grads()
-        return model
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

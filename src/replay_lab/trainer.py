@@ -95,11 +95,6 @@ class TrainConfig:
     def active_tricks(self) -> tuple[str, ...]:
         return tuple(t for t in TRICK_TOKENS if getattr(self, t))
 
-    def trick_signature(self) -> tuple:
-        """(iba, bic, cbic, elrd, strategy) -- one entry per independent trick
-        dimension; consecutive ablation rows differ in exactly one entry."""
-        return (self.iba, self.bic, self.cbic, self.elrd, self.strategy)
-
 
 def method_label(config: TrainConfig) -> str:
     base = "er" if config.buffer_capacity > 0 and config.replay_enabled else "sgd"

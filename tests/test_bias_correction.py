@@ -224,6 +224,14 @@ class TestFitCbic:
                          np.random.default_rng(14))
         assert layer.betas.shape == (1,)
 
+    def test_class_without_logit_rejected(self):
+        # class 9 on a 4-logit model: task 1's offset could never move
+        model = linear_model(np.eye(4))
+        buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
+        with pytest.raises(ValueError, match="class id 9 out of range for 4 logits"):
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, 9: 1},
+                     BiasFitConfig(epochs=5), np.random.default_rng(17))
+
     def test_backbone_parameters_untouched(self):
         model, buf, partition = self.symmetric_setup()
         before = model.flat_params()

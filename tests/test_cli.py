@@ -1,14 +1,17 @@
 """Tests for the command-line surface: config parsing, outputs, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                             balance_toy, load_experiment_config, main,
-                            monte_carlo_omission, parse_config_text)
+                            monte_carlo_omission, parse_config_text,
+                            train_config_from_experiment)
 from replay_lab.sampling import omission_probability
+from replay_lab.trainer import TRICK_TOKENS, TrainConfig
 
 TINY_CONFIG = """
 # fast synthetic experiment
@@ -72,11 +75,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment_config(path, {})
 
-    def test_iba_enabled_key_equivalent_to_trick_token(self, tmp_path):
-        from replay_lab.cli import train_config_from_experiment
-        path = write_config(tmp_path, TINY_CONFIG + "aug.iba_enabled = true\n")
-        cfg = load_experiment_config(path, {})
-        assert train_config_from_experiment(cfg, seed=0).iba
+    def test_config_keys_reach_their_train_config_fields(self):
+        assert train_config_from_experiment(load_experiment_config(None, {}), 0) == TrainConfig()
+        overrides = {"buffer_capacity": 7, "replay_batch_size": 3, "stream_batch_size": 4,
+                     "epochs_per_task": 2, "hidden_dims": (5, 6), "lr0": 0.3,
+                     "decay_fraction": 0.5, "tricks": ("iba", "cbic", "elrd"),
+                     "base_strategy": "ring", "replay_enabled": False,
+                     "aug.max_shift": 1, "aug.hflip_prob": 0.25,
+                     "aug.stream_enabled": True, "image_dims": (4, 2, 1),
+                     "bias.epochs": 9, "bias.batch_size": 11, "bias.lr": 0.2}
+        got = train_config_from_experiment(load_experiment_config(None, overrides), 5)
+        assert got == TrainConfig(
+            buffer_capacity=7, replay_batch_size=3, stream_batch_size=4,
+            epochs_per_task=2, hidden_dims=(5, 6), lr0=0.3, decay_fraction=0.5,
+            iba=True, cbic=True, elrd=True, base_strategy="ring",
+            replay_enabled=False, aug_max_shift=1, aug_hflip_prob=0.25,
+            aug_stream_enabled=True, image_dims=(4, 2, 1), bias_epochs=9,
+            bias_batch_size=11, bias_lr=0.2, seed=5)
+        # every field outside the unset tricks moved off its default
+        unset = {"bic", "brs", "lars"}
+        assert all(getattr(got, f.name) != getattr(TrainConfig(), f.name)
+                   for f in fields(TrainConfig) if f.name not in unset)
+        for trick in TRICK_TOKENS:
+            cfg = load_experiment_config(None, {"tricks": (trick,)})
+            assert train_config_from_experiment(cfg, 0).active_tricks() == (trick,)
 
     def test_hash_is_stable_and_value_sensitive(self):
         base = {k: default for k, (default, _) in CONFIG_KEYS.items()}
@@ -226,21 +248,31 @@ class TestFashionMnistPath:
         (data_dir / "t10k-images-idx3-ubyte").write_bytes(images_bytes(y_test))
         (data_dir / "t10k-labels-idx1-ubyte").write_bytes(labels_bytes(y_test))
 
-    def test_full_pipeline_over_idx_files(self, tmp_path, monkeypatch):
+    def run_idx_pipeline(self, tmp_path, monkeypatch, tricks, extra_config=""):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         self.write_idx_dataset(data_dir)
         monkeypatch.setenv("REPLAYLAB_DATA", str(data_dir))
-        cfg = write_config(tmp_path, TINY_CONFIG + "hidden_dims = 16\n")
+        cfg = write_config(tmp_path, TINY_CONFIG + "hidden_dims = 16\n" + extra_config)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
-                     "--seeds", "0", "--tricks", "bic", "--out", str(out)]) == 0
+                     "--seeds", "0", "--tricks", tricks, "--out", str(out)]) == 0
         _, header, rows = read_csv_rows(out / "runs.csv")
         assert len(rows) == 1
         # five tasks of two classes each
         assert sum(h.startswith("acc_task_") for h in header) == 5
         report = json.loads((out / "report.json").read_text())
         assert report["runs"][0]["config"]["image_dims"] == [28, 28, 1]
+        return report["runs"][0]["config"]
+
+    def test_full_pipeline_over_idx_files(self, tmp_path, monkeypatch):
+        self.run_idx_pipeline(tmp_path, monkeypatch, "bic")
+
+    def test_iba_with_shift_and_flip_over_idx_files(self, tmp_path, monkeypatch):
+        config = self.run_idx_pipeline(
+            tmp_path, monkeypatch, "iba,bic",
+            "aug.stream_enabled = true\naug.max_shift = 2\naug.hflip_prob = 0.5\n")
+        assert config["iba"] is True
 
 
 class TestExitCodes:

@@ -9,8 +9,8 @@ import pytest
 from replay_lab.datasets import (Dataset, IdxFormatError, load_fashion_mnist,
                                  make_class_il_tasks, parse_idx_images,
                                  parse_idx_labels, read_idx_file,
-                                 split_validation, synthetic_class_il_stream,
-                                 synthetic_stream, to_idx_images, to_idx_labels)
+                                 synthetic_class_il_stream, to_idx_images,
+                                 to_idx_labels)
 from replay_lab.mlp import Mlp, softmax_cross_entropy
 
 
@@ -176,31 +176,39 @@ class TestMakeClassIlTasks:
         assert [t.class_ids for t in a.tasks] == [t.class_ids for t in c.tasks]
 
 
+def pooled_train(stream):
+    """All tasks' training rows and labels, in task order."""
+    return (np.vstack([t.train_features for t in stream.tasks]),
+            np.concatenate([t.train_labels for t in stream.tasks]))
+
+
 class TestSyntheticStream:
     def test_toy_protocol_counts(self):
-        ds = synthetic_stream(6, 170, 2, 1.0, np.random.default_rng(0))
-        assert len(ds) == 1020
+        _, labels = pooled_train(synthetic_class_il_stream(6, 170, 10, 2, 1.0, 2, seed=0))
+        assert len(labels) == 1020
         for c in range(6):
-            assert np.sum(ds.labels == c) == 170
+            assert np.sum(labels == c) == 170
 
     def test_single_item_per_class(self):
-        ds = synthetic_stream(4, 1, 3, 1.0, np.random.default_rng(0))
-        assert len(ds) == 4
+        _, labels = pooled_train(synthetic_class_il_stream(4, 1, 1, 3, 1.0, 2, seed=0))
+        assert len(labels) == 4
 
     def test_values_inside_unit_interval(self):
-        ds = synthetic_stream(5, 50, 8, 3.0, np.random.default_rng(1))
-        assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+        stream = synthetic_class_il_stream(5, 50, 10, 8, 3.0, 5, seed=1)
+        for task in stream.tasks:
+            for feats in (task.train_features, task.test_features):
+                assert feats.min() >= 0.0 and feats.max() <= 1.0
 
     def test_huge_separation_is_trivially_learnable(self):
-        ds = synthetic_stream(2, 40, 2, 100.0, np.random.default_rng(2))
+        features, labels = pooled_train(synthetic_class_il_stream(2, 40, 10, 2, 100.0, 2, seed=2))
         model = Mlp([2, 16, 2], np.random.default_rng(3))
         for _ in range(50):
-            logits, cache = model.forward(ds.features)
-            _, _, dl = softmax_cross_entropy(logits, ds.labels)
+            logits, cache = model.forward(features)
+            _, _, dl = softmax_cross_entropy(logits, labels)
             model.backward(cache, dl)
             model.sgd_step(0.5)
-        logits, _ = model.forward(ds.features)
-        assert np.mean(np.argmax(logits, axis=1) == ds.labels) == 1.0
+        logits, _ = model.forward(features)
+        assert np.mean(np.argmax(logits, axis=1) == labels) == 1.0
 
     def test_class_il_stream_splits_and_is_deterministic(self):
         a = synthetic_class_il_stream(10, 30, 10, 16, 3.0, 2, seed=4)
@@ -211,17 +219,3 @@ class TestSyntheticStream:
             assert len(task.test_labels) == 20
         np.testing.assert_array_equal(a.tasks[0].train_features,
                                       b.tasks[0].train_features)
-
-
-class TestSplitValidation:
-    def test_sizes_and_disjointness(self):
-        ds = synthetic_stream(4, 25, 3, 2.0, np.random.default_rng(5))
-        train, val = split_validation(ds, 20, np.random.default_rng(6))
-        assert len(val) == 20 and len(train) == 80
-        merged = np.vstack([train.features, val.features])
-        assert merged.shape == ds.features.shape
-
-    def test_bad_sizes_rejected(self):
-        ds = synthetic_stream(2, 5, 2, 2.0, np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            split_validation(ds, 10, np.random.default_rng(0))

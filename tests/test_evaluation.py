@@ -85,8 +85,8 @@ class TestTaskPredictionDistribution:
     def test_correction_is_applied(self):
         stream = onehot_stream()
         model = rigged_model(np.zeros((4, 4)), bias=[0, 0, 50.0, 50.0])
-        fix = CbicLayer(betas=np.array([0.0, -50.0]),
-                        task_partition=stream.task_of_class())
+        partition = {c: t for t, task in enumerate(stream.tasks) for c in task.class_ids}
+        fix = CbicLayer(betas=np.array([0.0, -50.0]), task_partition=partition)
         dist = task_prediction_distribution(model, fix, stream)
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 

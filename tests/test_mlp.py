@@ -246,21 +246,7 @@ class TestSgdStep:
         assert values[-1] < 1e-15
 
 
-class TestCheckpoint:
-    def test_save_load_round_trip_is_bit_identical(self, tmp_path):
-        model = tiny_model([5, 4, 3], seed=7)
-        path = tmp_path / "model.bin"
-        model.save(path)
-        loaded = Mlp.load(path)
-        assert loaded.layer_dims == model.layer_dims
-        np.testing.assert_array_equal(loaded.flat_params(), model.flat_params())
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTAMODEL" * 4)
-        with pytest.raises(ValueError):
-            Mlp.load(path)
-
+class TestFlatParams:
     def test_set_flat_params_round_trip(self):
         model = tiny_model([4, 3, 2], seed=6)
         vec = model.flat_params()
