@@ -21,14 +21,14 @@ from replay_lab.sampling import ReplayBuffer
 rng = np.random.default_rng(0)
 image = rng.uniform(size=28 * 28)
 
-buf = ReplayBuffer(1, "reservoir")
+buf = ReplayBuffer(1, "reservoir", class_count=10)
 buf.update(image, label=3, loss=0.0, rng=rng)  # the buffer keeps a copy of the row
 policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
 
 seen = set()
 draws = 500
 for _ in range(draws):
-    _, feats, _ = replay_with_iba(buf, 1, policy, rng)
+    _, feats, _ = replay_with_iba(buf, 1, policy, rng, rng)
     seen.add(feats[0].tobytes())
 
 print(f"{draws} draws of the single stored item produced {len(seen)} distinct "
@@ -36,7 +36,7 @@ print(f"{draws} draws of the single stored item produced {len(seen)} distinct "
 print("stored item unchanged after all draws:",
       np.array_equal(buf.features[0], image))
 
-# with augmentation disabled the draw is the raw item, bit for bit
-raw_policy = AugPolicy(image_dims=(28, 28, 1), enabled=False)
-_, feats, _ = replay_with_iba(buf, 1, raw_policy, rng)
-print("disabled policy returns the raw item:", np.array_equal(feats[0], image))
+# with zero shift and no flip the draw is the raw item, bit for bit
+raw_policy = AugPolicy(image_dims=(28, 28, 1))
+_, feats, _ = replay_with_iba(buf, 1, raw_policy, rng, rng)
+print("zero shift, no flip returns the raw item:", np.array_equal(feats[0], image))

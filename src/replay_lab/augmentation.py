@@ -1,9 +1,9 @@
 """Stochastic input transforms and independent re-augmentation of replay
 draws.
 
-The buffer stores raw feature vectors; when independent buffer augmentation
-is active, every draw is transformed with fresh randomness, so two draws of
-the same slot almost always differ while the stored item never changes.
+The buffer stores raw feature vectors; independent buffer augmentation
+transforms every draw with fresh randomness, so two draws of the same slot
+almost always differ while the stored item never changes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class AugPolicy:
     image_dims: tuple[int, int, int]
     max_shift: int = 0
     hflip_prob: float = 0.0
-    enabled: bool = True
 
     def __post_init__(self):
         h, w, c = self.image_dims
@@ -40,17 +39,15 @@ def augment(policy: AugPolicy, features: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
     """Apply one random draw of the policy to a flattened image.
 
-    Never mutates ``features``; a disabled policy returns the input
-    unchanged. Pixel values stay in [0, 1] because translation only
-    introduces zero padding.
+    Never mutates ``features``. Pixel values stay in [0, 1] because
+    translation only introduces zero padding; with zero shift and no flip
+    the output equals the input bit for bit.
     """
     h, w, c = policy.image_dims
     features = np.asarray(features)
     if features.shape != (h * w * c,):
         raise ValueError(
             f"feature length {features.shape} does not match image dims {policy.image_dims}")
-    if not policy.enabled:
-        return features
     img = features.reshape(h, w, c)
     dy = int(rng.integers(-policy.max_shift, policy.max_shift + 1))
     dx = int(rng.integers(-policy.max_shift, policy.max_shift + 1))
@@ -63,16 +60,10 @@ def augment(policy: AugPolicy, features: np.ndarray,
 
 
 def replay_with_iba(buffer: ReplayBuffer, batch_size: int, policy: AugPolicy,
-                    rng: np.random.Generator,
-                    aug_rng: np.random.Generator | None = None):
-    """Draw a replay batch and re-augment each drawn instance independently.
-
-    Returns (slot ids, feature matrix, label vector). ``aug_rng`` lets the
-    caller keep augmentation randomness separate from draw randomness so the
-    two can be ablated independently; it defaults to ``rng``.
-    """
-    if aug_rng is None:
-        aug_rng = rng
+                    rng: np.random.Generator, aug_rng: np.random.Generator):
+    """Draw a replay batch with ``rng`` and re-augment each drawn instance
+    independently with ``aug_rng``, so the draws and the augmentation can be
+    ablated apart. Returns (slot ids, feature matrix, label vector)."""
     ids, feats, labels = buffer.draw_replay_batch(batch_size, rng)
     for k, row in enumerate(feats):
         feats[k] = augment(policy, row, aug_rng)

@@ -15,7 +15,7 @@ run report with ``.summary()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class BiasFitConfig:
 class BicLayer:
     alpha: float
     beta: float
-    last_task_classes: frozenset[int] = field(default_factory=frozenset)
+    last_task_classes: frozenset[int]
 
     def __post_init__(self):
         if not self.last_task_classes:
@@ -82,8 +82,9 @@ class CbicLayer:
 
 def _class_index(classes, n_logits: int) -> list[int]:
     idx = sorted(classes)
-    if idx[-1] >= n_logits:
-        raise ValueError(f"class id {idx[-1]} out of range for {n_logits} logits")
+    for c in (idx[0], idx[-1]):
+        if not 0 <= c < n_logits:
+            raise ValueError(f"class id {c} out of range for {n_logits} logits")
     return idx
 
 

@@ -11,10 +11,10 @@ Subcommands:
 * ``gradcheck``   -- analytic-vs-numeric gradient verification.
 
 Configuration is a flat ``key = value`` text file (``#`` starts a comment);
-command-line flags override file values. Unknown keys are rejected. The
-resolved configuration is hashed and echoed into every output row, so runs
-are auditable and byte-reproducible (wall-clock columns aside). Exit codes:
-2 config error, 3 data error, 4 runtime failure.
+command-line flags override file values. Unknown keys and bad values are
+rejected before any data is read. The resolved configuration is hashed and
+echoed into every output row, so runs are auditable and byte-reproducible
+(wall-clock aside). Exit codes: 2 config, 3 data, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (IdxFormatError, load_fashion_mnist, make_class_il_tasks,
-                       synthetic_class_il_stream)
+from .datasets import (FASHION_MNIST_CLASSES, IdxFormatError, load_fashion_mnist,
+                       make_class_il_tasks, synthetic_class_il_stream)
 from .mlp import Mlp, gradient_check
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        RING, ReplayBuffer, omission_probability)
@@ -183,17 +183,25 @@ def load_experiment_config(path: str | None, overrides: dict) -> ExperimentConfi
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
+    """Reject every bad setting before any data is read (run settings via ``TrainConfig``)."""
     if cfg["dataset"] not in ("synthetic", "fashion-mnist"):
         raise ConfigError(f"dataset must be synthetic or fashion-mnist, got {cfg['dataset']!r}")
     if cfg["method"] not in ("auto", "joint"):
         raise ConfigError(f"method must be auto or joint, got {cfg['method']!r}")
     if not cfg["seeds"]:
         raise ConfigError("seeds must list at least one seed")
-    tricks = cfg["tricks"]
-    if "brs" in tricks and "lars" in tricks:
-        raise ConfigError("tricks brs and lars are mutually exclusive")
-    if "bic" in tricks and "cbic" in tricks:
-        raise ConfigError("tricks bic and cbic are mutually exclusive")
+    minimums = {"classes_per_task": 1, "synthetic.class_count": 1, "synthetic.per_class": 1,
+                "synthetic.per_class_test": 1, "synthetic.feature_dim": 1, "synthetic.seed": 0}
+    for key, low in minimums.items():
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    class_count = (cfg["synthetic.class_count"] if cfg["dataset"] == "synthetic"
+                   else FASHION_MNIST_CLASSES)
+    if class_count % cfg["classes_per_task"]:
+        raise ConfigError(f"classes_per_task {cfg['classes_per_task']} does not divide "
+                          f"the class count {class_count}")
+    for seed in cfg["seeds"]:
+        train_config_from_experiment(cfg, seed)
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
@@ -333,26 +341,24 @@ TOY_CAPACITY = 12
 TOY_STRATEGIES = (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RING)
 
 
-def balance_toy(repetitions: int, seed: int, class_count: int = TOY_CLASS_COUNT,
-                per_class: int = TOY_PER_CLASS, capacity: int = TOY_CAPACITY,
-                strategies=TOY_STRATEGIES) -> dict[str, np.ndarray]:
-    """Stream a small balanced label stream into one buffer per strategy and
-    record the final per-class counts.
+def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
+    """Stream a small balanced label stream (shaped by the ``TOY_*``
+    constants) into one buffer per strategy and record the final counts.
 
-    Returns, per strategy, a (repetitions, class_count) matrix of counts.
+    Returns, per strategy, a (repetitions, TOY_CLASS_COUNT) matrix of counts.
     The stream order is shuffled fresh each repetition, and all strategies
     within a repetition see the same order, so their statistics are paired.
     """
-    labels = np.repeat(np.arange(class_count), per_class)
-    counts = {s: np.zeros((repetitions, class_count)) for s in strategies}
+    labels = np.repeat(np.arange(TOY_CLASS_COUNT), TOY_PER_CLASS)
+    counts = {s: np.zeros((repetitions, TOY_CLASS_COUNT)) for s in TOY_STRATEGIES}
     no_features = np.empty(0)
     for rep in range(repetitions):
-        children = np.random.SeedSequence([seed, rep]).spawn(len(strategies) + 1)
+        children = np.random.SeedSequence([seed, rep]).spawn(len(TOY_STRATEGIES) + 1)
         order = np.random.default_rng(children[0]).permutation(labels.size)
         stream = labels[order]
-        for strategy, child in zip(strategies, children[1:]):
+        for strategy, child in zip(TOY_STRATEGIES, children[1:]):
             rng = np.random.default_rng(child)
-            buf = ReplayBuffer(capacity, strategy, class_count=class_count)
+            buf = ReplayBuffer(TOY_CAPACITY, strategy, TOY_CLASS_COUNT)
             for label in stream:
                 buf.update(no_features, int(label), 0.0, rng)
             for cls, n in buf.class_counts().items():
@@ -394,7 +400,7 @@ def cmd_balance_toy(args) -> int:
 
 
 def monte_carlo_omission(class_count: int, capacity: int, trials: int,
-                         seed: int = 0) -> float:
+                         seed: int) -> float:
     """Fraction of trials in which a class ends up unrepresented when
     ``capacity`` items are drawn uniformly from balanced classes, averaged
     over classes. Draws are processed in blocks to bound memory."""

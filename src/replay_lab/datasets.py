@@ -25,6 +25,7 @@ FASHION_MNIST_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
+FASHION_MNIST_CLASSES = 10
 
 
 class IdxFormatError(ValueError):
@@ -38,7 +39,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -169,19 +169,19 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
                 return candidate
         raise FileNotFoundError(f"missing {name}[.gz] in {data_dir}")
 
-    def load_split(images_name: str, labels_name: str, split: str) -> Dataset:
+    def load_split(images_name: str, labels_name: str) -> Dataset:
         images = parse_idx_images(read_idx_file(find(images_name)))
         labels = parse_idx_labels(read_idx_file(find(labels_name)))
         if images.shape[0] != labels.shape[0]:
             raise IdxFormatError(
                 f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}")
         return Dataset(images.reshape(images.shape[0], -1), labels,
-                       class_count=10, split=split)
+                       class_count=FASHION_MNIST_CLASSES)
 
     train = load_split(FASHION_MNIST_FILES["train_images"],
-                       FASHION_MNIST_FILES["train_labels"], "train")
+                       FASHION_MNIST_FILES["train_labels"])
     test = load_split(FASHION_MNIST_FILES["test_images"],
-                      FASHION_MNIST_FILES["test_labels"], "test")
+                      FASHION_MNIST_FILES["test_labels"])
     return train, test
 
 
@@ -233,8 +233,8 @@ def synthetic_class_il_stream(class_count: int, per_class_train: int,
     for c in range(class_count):
         idx = np.flatnonzero(labels == c)
         train_mask[idx[:per_class_train]] = True
-    train = Dataset(features[train_mask], labels[train_mask], class_count, "train")
-    test = Dataset(features[~train_mask], labels[~train_mask], class_count, "test")
+    train = Dataset(features[train_mask], labels[train_mask], class_count)
+    test = Dataset(features[~train_mask], labels[~train_mask], class_count)
     return make_class_il_tasks(train, test, classes_per_task, rng)
 
 

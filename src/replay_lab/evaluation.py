@@ -81,22 +81,15 @@ def task_prediction_distribution(model: Mlp, correction,
     return masses / masses.sum()
 
 
-def buffer_balance_mse(buffer: ReplayBuffer, ideal_per_class: float,
-                       class_count: int | None = None) -> float:
-    """Mean over classes of (stored count - ideal)^2.
+def buffer_balance_mse(buffer: ReplayBuffer) -> float:
+    """Mean over the buffer's classes of (stored count - ideal)^2, where the
+    ideal is ``capacity / class_count``.
 
-    Classes with zero stored items count too, so the class universe must be
-    known: pass ``class_count`` or declare it on the buffer. Meaningful as
-    the balance statistic once the buffer is full.
+    Classes with zero stored items count too. Meaningful as the balance
+    statistic once the buffer is full.
     """
-    if class_count is None:
-        class_count = buffer.class_count
-    if class_count is None:
-        raise ValueError("class_count unknown: pass it or declare it on the buffer")
-    counts = np.zeros(class_count)
-    for label, n in buffer.class_counts().items():
-        counts[label] = n
-    return float(np.mean((counts - ideal_per_class) ** 2))
+    counts = np.bincount(buffer.labels[buffer.labels >= 0], minlength=buffer.class_count)
+    return float(np.mean((counts - buffer.capacity / buffer.class_count) ** 2))
 
 
 def kl_to_uniform(distribution) -> float:

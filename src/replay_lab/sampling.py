@@ -57,25 +57,25 @@ class ReplayBuffer:
       item (used only by the loss-aware strategy; refreshed whenever the
       item is drawn for replay).
 
-    The filled slots are those with ``labels >= 0``. ``seen_count`` tracks
-    how many stream items have been offered; the reservoir-family
-    strategies fill slots ``0..capacity-1`` in order, so the number of
-    filled slots is ``min(seen_count, capacity)``. The ring strategy instead
-    keeps one FIFO segment of ``capacity // class_count`` slots per class
-    (remainder slots stay unused), so its fill pattern is not contiguous.
+    Every stored label lies in ``[0, class_count)``; the filled slots are
+    those with ``labels >= 0``. ``seen_count`` tracks how many stream items
+    have been offered; the reservoir-family strategies fill slots
+    ``0..capacity-1`` in order, so the number of filled slots is
+    ``min(seen_count, capacity)``. The ring strategy instead keeps one FIFO
+    segment of ``capacity // class_count`` slots per class (remainder slots
+    stay unused), so its fill pattern is not contiguous.
 
     Capacity 0 is the degenerate no-rehearsal buffer: updates only advance
     ``seen_count``.
     """
 
-    def __init__(self, capacity: int, strategy: str = RESERVOIR,
-                 class_count: int | None = None):
+    def __init__(self, capacity: int, strategy: str, class_count: int):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        if strategy == RING and not class_count:
-            raise ValueError("ring strategy requires a declared class_count")
+        if class_count < 1:
+            raise ValueError(f"class_count must be >= 1, got {class_count}")
         self.capacity = capacity
         self.strategy = strategy
         self.class_count = class_count
@@ -84,9 +84,8 @@ class ReplayBuffer:
         self.features: np.ndarray | None = None
         self.labels = np.full(capacity, -1, dtype=np.int64)
         self.loss = np.zeros(capacity)
-        if strategy == RING:
-            self._segment = capacity // class_count
-            self._ring_next = [0] * class_count
+        self._segment = capacity // class_count
+        self._ring_next = [0] * class_count
 
     # -- inspection ---------------------------------------------------------
 
@@ -131,11 +130,12 @@ class ReplayBuffer:
 
         An admitted item is copied into its slot. Always increments
         ``seen_count`` by exactly 1. Afterwards, ``last_insert_slot`` holds
-        the slot the item went into, or None when it was not admitted. The
-        loss must be finite and >= 0.
+        the slot the item went into, or None when it was not admitted.
+        Labels outside ``[0, class_count)`` and losses that are negative,
+        NaN or infinite are rejected.
         """
-        if label < 0:
-            raise ValueError(f"labels must be >= 0, got {label}")
+        if not 0 <= label < self.class_count:
+            raise ValueError(f"label {label} out of range for class_count {self.class_count}")
         _check_loss(loss)
         self.last_insert_slot = None
         if self.capacity > 0:
@@ -172,9 +172,6 @@ class ReplayBuffer:
         return j
 
     def _ring_slot(self, label: int) -> int | None:
-        if label >= self.class_count:
-            raise ValueError(
-                f"label {label} out of range for declared class_count {self.class_count}")
         if self._segment == 0:
             return None
         slot = label * self._segment + self._ring_next[label] % self._segment

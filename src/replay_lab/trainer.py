@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.epochs_per_task < 1:
             raise ValueError("epochs_per_task must be >= 1")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
         if not 0.0 < self.decay_fraction <= 1.0:
@@ -127,8 +129,7 @@ class TrainState:
     buffer: ReplayBuffer
     schedule: ExpDecaySchedule
     rngs: RngStreams
-    stream_policy: AugPolicy
-    iba_policy: AugPolicy
+    aug_policy: AugPolicy
     examples_seen: int = 0
     task_index: int = 0
     task_step: int = 0
@@ -166,7 +167,7 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
     lr = state.schedule.lr_at(state.examples_seen)
 
     if config.aug_stream_enabled:
-        train_feats = np.stack([augment(state.stream_policy, f, rngs.stream_aug)
+        train_feats = np.stack([augment(state.aug_policy, f, rngs.stream_aug)
                                 for f in features])
     else:
         train_feats = features
@@ -175,7 +176,7 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
     if config.replay_enabled and state.buffer.n_filled > 0:
         if config.iba:
             replay_ids, replay_feats, replay_labels = replay_with_iba(
-                state.buffer, config.replay_batch_size, state.iba_policy,
+                state.buffer, config.replay_batch_size, state.aug_policy,
                 rngs.replay, rngs.iba)
         else:
             replay_ids, replay_feats, replay_labels = state.buffer.draw_replay_batch(
@@ -229,26 +230,16 @@ def _build_schedule(config: TrainConfig, task_sizes) -> ExpDecaySchedule:
                             gamma=gamma_for_final_fraction(config.decay_fraction, n_sched))
 
 
-def _aug_policies(config: TrainConfig, feature_dim: int) -> tuple[AugPolicy, AugPolicy]:
-    dims = config.image_dims or (feature_dim, 1, 1)
-    stream = AugPolicy(image_dims=dims, max_shift=config.aug_max_shift,
-                       hflip_prob=config.aug_hflip_prob,
-                       enabled=config.aug_stream_enabled)
-    iba = AugPolicy(image_dims=dims, max_shift=config.aug_max_shift,
-                    hflip_prob=config.aug_hflip_prob, enabled=config.iba)
-    return stream, iba
-
-
 def init_state(task_stream: TaskStream, config: TrainConfig) -> TrainState:
     rngs = RngStreams.from_seed(config.seed)
     dims = [task_stream.feature_dim, *config.hidden_dims, task_stream.class_count]
     model = Mlp(dims, rngs.init)
-    buffer = ReplayBuffer(config.buffer_capacity, config.strategy,
-                          class_count=task_stream.class_count)
+    buffer = ReplayBuffer(config.buffer_capacity, config.strategy, task_stream.class_count)
     schedule = _build_schedule(config, [len(t.train_labels) for t in task_stream.tasks])
-    stream_policy, iba_policy = _aug_policies(config, task_stream.feature_dim)
+    aug_policy = AugPolicy(image_dims=config.image_dims or (task_stream.feature_dim, 1, 1),
+                           max_shift=config.aug_max_shift, hflip_prob=config.aug_hflip_prob)
     return TrainState(model=model, buffer=buffer, schedule=schedule, rngs=rngs,
-                      stream_policy=stream_policy, iba_policy=iba_policy)
+                      aug_policy=aug_policy)
 
 
 def run_class_il(task_stream: TaskStream, config: TrainConfig,
@@ -290,9 +281,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
 
     mse = None
     if state.buffer.capacity > 0 and state.buffer.is_full:
-        mse = buffer_balance_mse(state.buffer,
-                                 state.buffer.capacity / task_stream.class_count,
-                                 task_stream.class_count)
+        mse = buffer_balance_mse(state.buffer)
     return RunReport(
         method=method if method is not None else method_label(config),
         seed=config.seed,

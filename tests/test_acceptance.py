@@ -83,7 +83,7 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
     hits = np.zeros(n_items)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([101, run]))
-        buf = ReplayBuffer(capacity, "reservoir")
+        buf = ReplayBuffer(capacity, "reservoir", class_count=1)
         for i in range(n_items):
             buf.update(feat, 0, float(i), rng)
         for loss in buf.loss:
@@ -252,14 +252,14 @@ def test_criterion_08_iba_contract():
             "buffer holds a feature vector that is not a raw stream item"
 
     # two draws of one slot under max_shift=2 differ almost always
-    buf = ReplayBuffer(1, "reservoir")
+    buf = ReplayBuffer(1, "reservoir", class_count=1)
     rng = np.random.default_rng(1)
     buf.update(rng.uniform(size=784), 0, 0.0, rng)
     policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
     differ = 0
     trials = 1000
     for _ in range(trials):
-        _, feats, _ = replay_with_iba(buf, 2, policy, rng)
+        _, feats, _ = replay_with_iba(buf, 2, policy, rng, rng)
         differ += not np.array_equal(feats[0], feats[1])
     assert differ / trials > 0.9, f"only {differ}/{trials} draw pairs differed"
     print(f"criterion 8 PASS: buffer features bit-equal to raw stream items; "
@@ -288,7 +288,7 @@ def _brute_force_lars_probs(labels, losses):
 
 
 def test_criterion_09_lars_score_oracle():
-    buf = ReplayBuffer(4, "lars")
+    buf = ReplayBuffer(4, "lars", class_count=2)
     rng = np.random.default_rng(0)
     for label, loss in [(0, 1.0), (0, 3.0), (0, 1.0), (1, 1.0)]:
         buf.update(np.empty(0), label, loss, rng)
@@ -307,7 +307,7 @@ def test_criterion_09_lars_score_oracle():
             losses = [0.0] * n
         else:
             losses = [1.5] * n
-        buf = ReplayBuffer(n, "lars")
+        buf = ReplayBuffer(n, "lars", class_count=5)
         for lab, loss in zip(labels, losses):
             buf.update(np.empty(0), int(lab), float(loss), rng)
         expected = _brute_force_lars_probs(labels, losses)

@@ -8,8 +8,8 @@ from replay_lab.sampling import ReplayBuffer
 
 
 class TestAugment:
-    def test_disabled_policy_is_bit_identity(self):
-        policy = AugPolicy(image_dims=(3, 3, 1), max_shift=1, enabled=False)
+    def test_zero_shift_no_flip_is_bit_identity(self):
+        policy = AugPolicy(image_dims=(3, 3, 1), max_shift=0, hflip_prob=0.0)
         feats = np.random.default_rng(0).uniform(size=9)
         out = augment(policy, feats, np.random.default_rng(1))
         np.testing.assert_array_equal(out, feats)
@@ -71,7 +71,7 @@ class TestAugment:
 
 
 def filled_buffer(n_slots, dim, seed=0):
-    buf = ReplayBuffer(n_slots, "reservoir")
+    buf = ReplayBuffer(n_slots, "reservoir", class_count=3)
     rng = np.random.default_rng(seed)
     for i in range(n_slots):
         buf.update(rng.uniform(size=dim), i % 3, 0.0, rng)
@@ -79,10 +79,11 @@ def filled_buffer(n_slots, dim, seed=0):
 
 
 class TestReplayWithIba:
-    def test_disabled_policy_equals_raw_draw(self):
+    def test_zero_shift_no_flip_equals_raw_draw(self):
         buf = filled_buffer(6, 16)
-        policy = AugPolicy(image_dims=(4, 4, 1), max_shift=2, enabled=False)
-        ids, feats, labels = replay_with_iba(buf, 5, policy, np.random.default_rng(9))
+        policy = AugPolicy(image_dims=(4, 4, 1), max_shift=0, hflip_prob=0.0)
+        ids, feats, labels = replay_with_iba(buf, 5, policy, np.random.default_rng(9),
+                                             np.random.default_rng(10))
         raw_ids, raw_feats, raw_labels = buf.draw_replay_batch(5, np.random.default_rng(9))
         np.testing.assert_array_equal(ids, raw_ids)
         np.testing.assert_array_equal(feats, raw_feats)
@@ -95,7 +96,7 @@ class TestReplayWithIba:
         differ = 0
         trials = 1000
         for _ in range(trials):
-            _, feats, _ = replay_with_iba(buf, 2, policy, rng)
+            _, feats, _ = replay_with_iba(buf, 2, policy, rng, rng)
             differ += not np.array_equal(feats[0], feats[1])
         assert differ / trials > 0.9
 
@@ -105,7 +106,7 @@ class TestReplayWithIba:
         policy = AugPolicy(image_dims=(6, 6, 1), max_shift=2, hflip_prob=0.5)
         rng = np.random.default_rng(11)
         for _ in range(200):
-            replay_with_iba(buf, 8, policy, rng)
+            replay_with_iba(buf, 8, policy, rng, rng)
         for row, original in zip(buf.features, originals):
             np.testing.assert_array_equal(row, original)
 

@@ -16,7 +16,7 @@ def sigmoid(x):
 
 
 def buffer_of(features, labels):
-    buf = ReplayBuffer(len(labels), "reservoir")
+    buf = ReplayBuffer(len(labels), "reservoir", class_count=max(labels) + 1)
     rng = np.random.default_rng(0)
     for f, y in zip(features, labels):
         buf.update(np.asarray(f, dtype=float), int(y), 0.0, rng)
@@ -55,6 +55,12 @@ class TestApplyBic:
         layer = BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset({5}))
         with pytest.raises(ValueError):
             layer.apply(np.zeros((2, 4)))
+
+    def test_negative_class_rejected(self):
+        # a negative id would index the last logits from the end
+        layer = BicLayer(alpha=2.0, beta=1.0, last_task_classes=frozenset({-1}))
+        with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
+            layer.apply(np.zeros((1, 4)))
 
     def test_empty_class_set_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +178,11 @@ class TestFitBic:
         with pytest.raises(ValueError):
             fit_bic(model, buf, classes, BiasFitConfig(), np.random.default_rng(16))
 
+    def test_negative_class_rejected(self):
+        model, buf = self.identity_optimum_setup()
+        with pytest.raises(ValueError, match="class id -1 out of range for 2 logits"):
+            fit_bic(model, buf, {-1}, BiasFitConfig(), np.random.default_rng(16))
+
     def test_backbone_parameters_untouched(self):
         model, buf = self.identity_optimum_setup()
         before = model.flat_params()
@@ -230,6 +241,14 @@ class TestFitCbic:
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id 9 out of range for 4 logits"):
             fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, 9: 1},
+                     BiasFitConfig(epochs=5), np.random.default_rng(17))
+
+    def test_negative_class_rejected(self):
+        # class -1 would map onto logit 3 and leave task 1's offset stuck
+        model = linear_model(np.eye(4))
+        buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
+        with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1},
                      BiasFitConfig(epochs=5), np.random.default_rng(17))
 
     def test_backbone_parameters_untouched(self):

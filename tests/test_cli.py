@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from replay_lab import cli
 from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                             balance_toy, load_experiment_config, main,
                             monte_carlo_omission, parse_config_text,
@@ -301,10 +302,45 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
                      "--out", str(tmp_path / "o")]) == 3
 
-    def test_runtime_failure_is_4(self, tmp_path):
-        # valid keys, but the class count is not divisible by the task size
-        cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.class_count = 3\n")
+    def test_runtime_failure_is_4(self, tmp_path, monkeypatch, capsys):
+        # an unexpected exception during training exits 4 with its traceback
+        def fail(*args, **kwargs):
+            raise RuntimeError("training broke")
+        monkeypatch.setattr(cli, "run_class_il", fail)
+        cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: training broke" in err
+
+    @pytest.mark.parametrize("setting", [
+        "classes_per_task = 0",
+        "classes_per_task = 3",
+        "classes_per_task = -2",
+        "synthetic.class_count = 0",
+        "synthetic.class_count = 3",
+        "synthetic.per_class = 0",
+        "synthetic.per_class_test = 0",
+        "synthetic.feature_dim = 0",
+        "synthetic.seed = -1",
+        "hidden_dims = 0",
+        "hidden_dims = 8,0",
+        "seeds = 0,-1",
+    ])
+    def test_bad_setting_is_2_before_any_data_is_read(self, tmp_path, monkeypatch, setting):
+        def no_data(cfg):
+            pytest.fail("data was read before the config was checked")
+        monkeypatch.setattr(cli, "build_task_stream", no_data)
+        cfg = write_config(tmp_path, TINY_CONFIG + setting + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "runs.csv").exists()
+
+    def test_bad_run_setting_is_2_even_without_data(self, tmp_path, monkeypatch):
+        # the config error wins over the missing Fashion-MNIST data
+        monkeypatch.delenv("REPLAYLAB_DATA", raising=False)
+        cfg = write_config(tmp_path, TINY_CONFIG + "lr0 = -1\n")
+        assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
+                     "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_is_4_and_names_task_and_step(self, tmp_path, capsys):

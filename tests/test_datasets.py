@@ -122,7 +122,6 @@ class TestLoadFashionMnist:
         assert train.features.shape == (40, 784)
         assert test.features.shape == (20, 784)
         assert train.class_count == 10
-        assert train.split == "train" and test.split == "test"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -134,9 +133,9 @@ class TestMakeClassIlTasks:
         rng = np.random.default_rng(2)
         n = n_per_class * classes
         labels = np.repeat(np.arange(classes), n_per_class)
-        train = Dataset(rng.uniform(size=(n, dim)), labels, classes, "train")
+        train = Dataset(rng.uniform(size=(n, dim)), labels, classes)
         test = Dataset(rng.uniform(size=(n // 2, dim)),
-                       np.repeat(np.arange(classes), n_per_class // 2), classes, "test")
+                       np.repeat(np.arange(classes), n_per_class // 2), classes)
         return train, test
 
     def test_ten_classes_two_per_task(self):

@@ -18,8 +18,8 @@ def onehot_stream(classes=4, per_class=6, classes_per_task=2, seed=0):
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     feats = np.eye(classes)[labels]
-    train = Dataset(feats, labels, classes, "train")
-    test = Dataset(feats, labels, classes, "test")
+    train = Dataset(feats, labels, classes)
+    test = Dataset(feats, labels, classes)
     return make_class_il_tasks(train, test, classes_per_task,
                                np.random.default_rng(seed))
 
@@ -101,21 +101,16 @@ class TestBufferBalanceMse:
 
     def test_perfect_balance_is_zero(self):
         buf = self.fill([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], class_count=6)
-        assert buffer_balance_mse(buf, 2.0) == 0.0
+        assert buffer_balance_mse(buf) == 0.0
 
     def test_three_doubled_three_missing(self):
         buf = self.fill([0] * 4 + [1] * 4 + [2] * 4, class_count=6)
-        assert buffer_balance_mse(buf, 2.0) == pytest.approx(4.0, abs=1e-12)
+        assert buffer_balance_mse(buf) == pytest.approx(4.0, abs=1e-12)
 
-    def test_explicit_class_count_overrides(self):
-        buf = self.fill([0, 1], class_count=2)
-        assert buffer_balance_mse(buf, 1.0, class_count=4) == pytest.approx(0.5)
-
-    def test_unknown_class_universe_rejected(self):
-        buf = ReplayBuffer(2, "reservoir")
-        buf.update(np.empty(0), 0, 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            buffer_balance_mse(buf, 1.0)
+    def test_classes_holding_no_items_count(self):
+        # capacity 2 over 4 classes: ideal 0.5, counts [1, 1, 0, 0]
+        buf = self.fill([0, 1], class_count=4)
+        assert buffer_balance_mse(buf) == pytest.approx(0.25)
 
 
 class TestKlToUniform:

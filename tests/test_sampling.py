@@ -4,17 +4,34 @@ import numpy as np
 import pytest
 
 from replay_lab.sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR,
-                                 RESERVOIR, RING, ReplayBuffer, ScoreVectors,
-                                 lars_scores, omission_probability)
+                                 RESERVOIR, RING, STRATEGIES, ReplayBuffer,
+                                 ScoreVectors, lars_scores, omission_probability)
 
 NO_FEATURES = np.empty(0)
+# class ids in these tests lie below this
+CLASS_COUNT = 20
 
 
 def offer(buf, label, rng, loss=0.0, features=NO_FEATURES):
     buf.update(features, label, loss, rng)
 
 
-def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_count=None):
+def assert_buffer_invariants(buf):
+    """What every strategy keeps true after any sequence of offers."""
+    filled = buf.filled_ids()
+    assert buf.n_filled <= buf.capacity
+    assert np.all(buf.labels >= -1)
+    assert np.all(buf.labels[filled] < buf.class_count)
+    if buf.strategy == RING:
+        # each class owns segment [c * seg, (c + 1) * seg)
+        segment = buf.capacity // buf.class_count
+        assert np.all(buf.labels[filled] == filled // max(segment, 1))
+        assert segment > 0 or filled.size == 0
+    else:
+        np.testing.assert_array_equal(filled, np.arange(min(buf.seen_count, buf.capacity)))
+
+
+def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_count=CLASS_COUNT):
     capacity = capacity if capacity is not None else len(labels)
     buf = ReplayBuffer(capacity, strategy, class_count=class_count)
     rng = np.random.default_rng(seed)
@@ -26,7 +43,7 @@ def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_coun
 
 class TestFillPhase:
     def test_first_item_lands_in_slot_zero(self):
-        buf = ReplayBuffer(12, RESERVOIR)
+        buf = ReplayBuffer(12, RESERVOIR, class_count=4)
         offer(buf, 3, np.random.default_rng(0))
         assert buf.seen_count == 1
         assert buf.n_filled == 1
@@ -57,6 +74,13 @@ class TestFillPhase:
             offer(buf, -1, np.random.default_rng(0))
         assert buf.n_filled == 0
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_label_at_or_above_class_count_rejected(self, strategy):
+        buf = ReplayBuffer(4, strategy, class_count=2)
+        with pytest.raises(ValueError, match="out of range"):
+            offer(buf, 2, np.random.default_rng(0))
+        assert buf.n_filled == 0 and buf.seen_count == 0
+
     @pytest.mark.parametrize("loss", [float("nan"), -1.0, float("inf")])
     def test_bad_loss_rejected(self, loss):
         # a NaN or infinite stored loss would turn LARS eviction silently uniform
@@ -82,9 +106,10 @@ class TestReservoir:
         hits = np.zeros(n_items)
         for run in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence([42, run]))
-            buf = ReplayBuffer(capacity, RESERVOIR)
+            buf = ReplayBuffer(capacity, RESERVOIR, class_count=1)
             for i in range(n_items):
                 offer(buf, 0, rng, loss=float(i))
+            assert_buffer_invariants(buf)
             for loss in buf.loss:
                 hits[int(loss)] += 1
         freq = hits / runs
@@ -104,6 +129,7 @@ class TestReservoir:
                 for i in range(n_items):
                     offer(buf, i % 4, rng, loss=0.1)
                     admitted[i] += buf.last_insert_slot is not None
+                assert_buffer_invariants(buf)
             freq = admitted / runs
             p = np.minimum(1.0, capacity / (np.arange(n_items) + 1.0))
             sd = np.sqrt(p * (1 - p) / runs)
@@ -129,6 +155,7 @@ class TestBalancedReservoir:
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 0, 1, 2, 2], capacity=6, seed=seed)
             rng = np.random.default_rng(1000 + seed)
             offer(buf, 3, rng)
+            assert_buffer_invariants(buf)
             if buf.last_insert_slot is not None:
                 # class 1 (count 1) and class 2 (count 2) are both below the
                 # max count 3, so only class-0 slots are eligible
@@ -167,6 +194,7 @@ class TestBalancedReservoir:
             max_count = max(counts.values())
             before = buf.labels.copy()
             offer(buf, 9, np.random.default_rng(int(rng.integers(1 << 30))))
+            assert_buffer_invariants(buf)
             slot = buf.last_insert_slot
             if slot is not None:
                 assert counts[before[slot]] == max_count
@@ -199,7 +227,7 @@ class TestLarsScores:
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            lars_scores(ReplayBuffer(4, LOSS_AWARE_RESERVOIR))
+            lars_scores(ReplayBuffer(4, LOSS_AWARE_RESERVOIR, class_count=2))
 
     def test_probs_are_a_distribution_on_random_buffers(self):
         rng = np.random.default_rng(11)
@@ -233,6 +261,7 @@ class TestLarsUpdate:
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 0, 0, 1],
                               losses=[1.0, 3.0, 1.0, 1.0])
             offer(buf, 2, np.random.default_rng(seed), loss=0.5)
+            assert_buffer_invariants(buf)
             if buf.last_insert_slot is not None:
                 hits[buf.last_insert_slot] += 1
         assert hits[1] == 0
@@ -262,6 +291,7 @@ class TestLarsUpdate:
         for seed in range(12_000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=labels, losses=losses)
             offer(buf, 3, np.random.default_rng(seed), loss=0.5)
+            assert_buffer_invariants(buf)
             if buf.last_insert_slot is not None:
                 hits[buf.last_insert_slot] += 1
                 admitted += 1
@@ -328,6 +358,7 @@ class TestRing:
         stored = sorted(buf.loss[:2].tolist())
         assert stored == [2.0, 3.0]
         assert np.all(buf.labels[2:] == -1)
+        assert_buffer_invariants(buf)
 
     def test_one_item_per_class_fills_each_segment(self):
         buf = ReplayBuffer(10, RING, class_count=5)
@@ -337,6 +368,7 @@ class TestRing:
         assert buf.n_filled == 5
         for c in range(5):
             assert buf.labels[2 * c] == c
+        assert_buffer_invariants(buf)
 
     def test_underexploitation_after_first_task(self):
         # 2 classes of a 10-class protocol seen: at least 3/5 of a ring
@@ -347,6 +379,7 @@ class TestRing:
             offer(buf, i % 2, rng)
         assert buf.n_filled <= 100 * 2 / 5
         assert (100 - buf.n_filled) / 100 >= 3 / 5
+        assert_buffer_invariants(buf)
 
     def test_label_out_of_range_rejected(self):
         buf = ReplayBuffer(10, RING, class_count=5)
@@ -355,7 +388,16 @@ class TestRing:
 
     def test_requires_class_count(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(10, RING)
+            ReplayBuffer(10, RING, class_count=0)
+
+    def test_mixed_stream_keeps_each_segment_to_its_class(self):
+        # 13 slots over 4 classes: segments of 3, slot 12 never used
+        buf = ReplayBuffer(13, RING, class_count=4)
+        rng = np.random.default_rng(6)
+        for label in rng.integers(0, 4, size=200):
+            offer(buf, int(label), rng)
+        assert buf.labels[12] == -1
+        assert_buffer_invariants(buf)
 
 
 class TestDrawReplayBatch:
@@ -367,7 +409,8 @@ class TestDrawReplayBatch:
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(5, RESERVOIR).draw_replay_batch(2, np.random.default_rng(0))
+            ReplayBuffer(5, RESERVOIR, class_count=2).draw_replay_batch(
+                2, np.random.default_rng(0))
 
     def test_draw_is_uniform_over_slots(self):
         buf = fill_buffer(RESERVOIR, labels=list(range(20)), capacity=20)
@@ -411,7 +454,7 @@ class TestOmissionProbability:
 
 class TestBufferPlumbing:
     def test_as_arrays_stacks_features_and_labels(self):
-        buf = ReplayBuffer(3, RESERVOIR)
+        buf = ReplayBuffer(3, RESERVOIR, class_count=6)
         rng = np.random.default_rng(0)
         offer(buf, 2, rng, features=np.array([0.1, 0.2]))
         offer(buf, 5, rng, features=np.array([0.3, 0.4]))
@@ -434,6 +477,8 @@ class TestBufferPlumbing:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(-1, RESERVOIR)
+            ReplayBuffer(-1, RESERVOIR, class_count=2)
         with pytest.raises(ValueError):
-            ReplayBuffer(4, "herding")
+            ReplayBuffer(4, "herding", class_count=2)
+        with pytest.raises(ValueError):
+            ReplayBuffer(4, RESERVOIR, class_count=0)

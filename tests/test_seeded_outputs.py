@@ -6,6 +6,9 @@ keeps the random draws, their order and every float operation leaves the
 digests unchanged; a change that moves any number must update the table and
 say which outputs moved and why. The digests were recorded with numpy 2.4
 on OpenBLAS; another BLAS build may round matrix products differently.
+
+Two more pins cover what no report reaches: the count matrices of the
+buffer-balance study and the hash of the default configuration.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import json
 
 import pytest
 
+from replay_lab.cli import balance_toy, load_experiment_config
 from replay_lab.datasets import synthetic_class_il_stream
 from replay_lab.trainer import TrainConfig, run_class_il
 
@@ -59,3 +63,17 @@ def test_seeded_report_digest_is_pinned(case):
     stream = synthetic_class_il_stream(**STREAM)
     report = run_class_il(stream, TrainConfig(**BASE, **CASES[case]))
     assert report_digest(report) == DIGESTS[case]
+
+
+def test_balance_toy_counts_are_pinned():
+    h = hashlib.sha256()
+    for strategy, counts in balance_toy(100, 0).items():
+        h.update(strategy.encode())
+        h.update(counts.tobytes())
+    assert h.hexdigest() == \
+        "1ca740478e323fd662713925c92fc1a9fc627567850b1661e7ce64ec91e789ba"
+
+
+def test_default_config_hash_is_pinned():
+    assert load_experiment_config(None, {}).config_hash() == \
+        "71de3391fc97589670c0fedd8fce15b750d2d3dc108dab1fc11d5d5bfbe6b1c0"

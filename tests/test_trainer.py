@@ -53,6 +53,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(base_strategy="ring", brs=True)
 
+    @pytest.mark.parametrize("hidden_dims", [(0,), (8, 0), (-2,)])
+    def test_hidden_layer_width_below_one_rejected(self, hidden_dims):
+        with pytest.raises(ValueError, match="hidden_dims"):
+            small_config(hidden_dims=hidden_dims)
+
     def test_strategy_derivation(self):
         assert small_config().strategy == "reservoir"
         assert small_config(brs=True).strategy == "brs"
