@@ -25,9 +25,9 @@ class AugPolicy:
     hflip_prob: float = 0.0
 
     def __post_init__(self):
-        h, w, c = self.image_dims
-        if h <= 0 or w <= 0 or c <= 0:
-            raise ValueError(f"image_dims must be positive, got {self.image_dims}")
+        if len(self.image_dims) != 3 or min(self.image_dims) <= 0:
+            raise ValueError(f"image_dims must be three positive sizes, got {self.image_dims}")
+        h, w, _ = self.image_dims
         if self.max_shift < 0 or self.max_shift >= min(h, w):
             raise ValueError(
                 f"max_shift must be in [0, min(h, w)), got {self.max_shift} for {h}x{w}")

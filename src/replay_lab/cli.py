@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -30,13 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (FASHION_MNIST_CLASSES, IdxFormatError, load_fashion_mnist,
-                       make_class_il_tasks, synthetic_class_il_stream)
+from .datasets import (FASHION_MNIST_CLASSES, FASHION_MNIST_IMAGE_DIMS, IdxFormatError,
+                       load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream)
 from .mlp import Mlp, gradient_check
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        RING, ReplayBuffer, omission_probability)
-from .trainer import (TRICK_TOKENS, TrainConfig, ablation_suite, run_class_il,
-                      run_joint_baseline)
+from .trainer import (TRICK_TOKENS, TrainConfig, ablation_suite, aug_policy,
+                      run_class_il, run_joint_baseline)
 
 DATA_ENV_VAR = "REPLAYLAB_DATA"
 RUNS_SCHEMA = "replay-lab-runs-v1"
@@ -183,7 +184,8 @@ def load_experiment_config(path: str | None, overrides: dict) -> ExperimentConfi
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
-    """Reject every bad setting before any data is read (run settings via ``TrainConfig``)."""
+    """Reject every bad setting before any data is read (run settings via
+    ``TrainConfig``, augmentation settings via the run's ``AugPolicy``)."""
     if cfg["dataset"] not in ("synthetic", "fashion-mnist"):
         raise ConfigError(f"dataset must be synthetic or fashion-mnist, got {cfg['dataset']!r}")
     if cfg["method"] not in ("auto", "joint"):
@@ -200,8 +202,13 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     if class_count % cfg["classes_per_task"]:
         raise ConfigError(f"classes_per_task {cfg['classes_per_task']} does not divide "
                           f"the class count {class_count}")
-    for seed in cfg["seeds"]:
-        train_config_from_experiment(cfg, seed)
+    configs = [train_config_from_experiment(cfg, seed) for seed in cfg["seeds"]]
+    feature_dim = (cfg["synthetic.feature_dim"] if cfg["dataset"] == "synthetic"
+                   else math.prod(FASHION_MNIST_IMAGE_DIMS))
+    try:
+        aug_policy(configs[0], feature_dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
@@ -214,7 +221,7 @@ def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfi
               if key.replace(".", "_") in names}
     kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
     kwargs["image_dims"] = tuple(cfg["image_dims"]) or (
-        (28, 28, 1) if cfg["dataset"] == "fashion-mnist" else None)
+        FASHION_MNIST_IMAGE_DIMS if cfg["dataset"] == "fashion-mnist" else None)
     try:
         return TrainConfig(**kwargs, seed=seed)
     except ValueError as exc:

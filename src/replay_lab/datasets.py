@@ -26,6 +26,7 @@ FASHION_MNIST_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 FASHION_MNIST_CLASSES = 10
+FASHION_MNIST_IMAGE_DIMS = (28, 28, 1)
 
 
 class IdxFormatError(ValueError):

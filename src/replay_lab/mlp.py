@@ -2,8 +2,8 @@
 head, softmax cross-entropy, exact analytic gradients, and plain SGD.
 
 Everything is float64 numpy; there is no momentum, weight decay, or dropout.
-Gradients accumulate across ``backward`` calls (so a step's loss can be a sum
-of several batch means) and are cleared by ``sgd_step``.
+``backward`` writes the gradients of one batch into preallocated slots,
+overwriting what was there, and ``sgd_step`` applies them.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class Mlp:
         return logits, cache
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the batch behind ``cache``.
+        """Write the parameter gradients for the batch behind ``cache`` into
+        the gradient slots, replacing their previous contents.
 
         ``dlogits`` is the loss gradient at the logits (already divided by
         the batch size when the loss is a batch mean). ReLU backward masks
@@ -77,28 +78,21 @@ class Mlp:
             raise ValueError("dlogits shape does not match the cached forward batch")
         activations, pres = cache["activations"], cache["pres"]
         delta = dlogits
-        self.weight_grads[-1] += activations[-1].T @ delta
-        self.bias_grads[-1] += delta.sum(axis=0)
-        for layer in range(self.n_layers - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1].T) * (pres[layer] > 0.0)
-            self.weight_grads[layer] += activations[layer].T @ delta
-            self.bias_grads[layer] += delta.sum(axis=0)
+        for layer in range(self.n_layers - 1, -1, -1):
+            np.matmul(activations[layer].T, delta, out=self.weight_grads[layer])
+            delta.sum(axis=0, out=self.bias_grads[layer])
+            if layer > 0:
+                delta = (delta @ self.weights[layer].T) * (pres[layer - 1] > 0.0)
 
     def sgd_step(self, learning_rate: float) -> None:
-        """theta <- theta - lr * grad, then clear the gradient slots."""
+        """theta <- theta - lr * grad, with the gradients of the last
+        ``backward``."""
         if learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
         for w, g in zip(self.weights, self.weight_grads):
             w -= learning_rate * g
         for b, g in zip(self.biases, self.bias_grads):
             b -= learning_rate * g
-        self.zero_grads()
-
-    def zero_grads(self) -> None:
-        for g in self.weight_grads:
-            g[...] = 0.0
-        for g in self.bias_grads:
-            g[...] = 0.0
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -200,7 +194,6 @@ def gradient_check(model: Mlp, inputs: np.ndarray, labels: np.ndarray,
     |a - n| / (abs_floor + rel_tol * |n|)).
     """
     work = model.copy()
-    work.zero_grads()
     logits, cache = work.forward(inputs)
     _, _, dlogits = softmax_cross_entropy(logits, labels)
     work.backward(cache, dlogits)

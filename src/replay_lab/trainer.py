@@ -1,9 +1,10 @@
 """Class-incremental training loop with experience replay.
 
 Each step optimizes the sum of two batch means (stream cross-entropy plus
-replay cross-entropy), updates the buffer under the configured strategy, and
-advances the per-example learning-rate schedule. Bias-correction layers are
-fitted on the buffer at task boundaries and applied at evaluation time only.
+replay cross-entropy) in one pass over the stacked stream and replay rows,
+updates the buffer under the configured strategy, and advances the
+per-example learning-rate schedule. Bias-correction layers are fitted on the
+buffer at task boundaries and applied at evaluation time only.
 
 A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
@@ -12,6 +13,7 @@ runs are reproducible and safe to execute in parallel.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace, asdict
 
@@ -83,6 +85,12 @@ class TrainConfig:
             raise ValueError(f"base_strategy must be 'reservoir' or 'ring', got {self.base_strategy!r}")
         if self.base_strategy == "ring" and (self.brs or self.lars):
             raise ValueError("ring buffer cannot be combined with brs/lars")
+        if self.bias_epochs < 0:
+            raise ValueError("bias_epochs must be >= 0")
+        if self.bias_batch_size < 1:
+            raise ValueError("bias_batch_size must be >= 1")
+        if self.bias_lr <= 0:
+            raise ValueError("bias_lr must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -182,19 +190,19 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
             replay_ids, replay_feats, replay_labels = state.buffer.draw_replay_batch(
                 config.replay_batch_size, rngs.replay)
 
-    logits, cache = state.model.forward(train_feats)
-    stream_loss, stream_per_item, dlogits = softmax_cross_entropy(logits, labels)
-    state.model.backward(cache, dlogits)
+    inputs = train_feats if replay_ids is None else np.concatenate([train_feats, replay_feats])
+    logits, cache = state.model.forward(inputs)
+    stream_loss, stream_per_item, dlogits = softmax_cross_entropy(logits[:n], labels)
     replay_loss = 0.0
     if replay_ids is not None:
-        r_logits, r_cache = state.model.forward(replay_feats)
         replay_loss, replay_per_item, r_dlogits = softmax_cross_entropy(
-            r_logits, replay_labels)
-        state.model.backward(r_cache, r_dlogits)
+            logits[n:], replay_labels)
+        dlogits = np.concatenate([dlogits, r_dlogits])
     if not (np.isfinite(stream_loss) and np.isfinite(replay_loss)):
         raise FloatingPointError(
             f"non-finite loss at task {state.task_index}, step {state.task_step}: "
             f"stream loss {stream_loss}, replay loss {replay_loss}")
+    state.model.backward(cache, dlogits)
     state.model.sgd_step(lr)
 
     if replay_ids is not None:
@@ -230,16 +238,24 @@ def _build_schedule(config: TrainConfig, task_sizes) -> ExpDecaySchedule:
                             gamma=gamma_for_final_fraction(config.decay_fraction, n_sched))
 
 
+def aug_policy(config: TrainConfig, feature_dim: int) -> AugPolicy:
+    """The run's one augmentation policy. Without ``image_dims`` each row is
+    a (feature_dim, 1, 1) image, on which only a zero shift fits."""
+    image_dims = config.image_dims or (feature_dim, 1, 1)
+    if math.prod(image_dims) != feature_dim:
+        raise ValueError(f"image_dims {list(image_dims)} do not hold {feature_dim} features")
+    return AugPolicy(image_dims=image_dims, max_shift=config.aug_max_shift,
+                     hflip_prob=config.aug_hflip_prob)
+
+
 def init_state(task_stream: TaskStream, config: TrainConfig) -> TrainState:
     rngs = RngStreams.from_seed(config.seed)
     dims = [task_stream.feature_dim, *config.hidden_dims, task_stream.class_count]
     model = Mlp(dims, rngs.init)
     buffer = ReplayBuffer(config.buffer_capacity, config.strategy, task_stream.class_count)
     schedule = _build_schedule(config, [len(t.train_labels) for t in task_stream.tasks])
-    aug_policy = AugPolicy(image_dims=config.image_dims or (task_stream.feature_dim, 1, 1),
-                           max_shift=config.aug_max_shift, hflip_prob=config.aug_hflip_prob)
     return TrainState(model=model, buffer=buffer, schedule=schedule, rngs=rngs,
-                      aug_policy=aug_policy)
+                      aug_policy=aug_policy(config, task_stream.feature_dim))
 
 
 def run_class_il(task_stream: TaskStream, config: TrainConfig,

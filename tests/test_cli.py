@@ -84,7 +84,8 @@ class TestConfigParsing:
                      "base_strategy": "ring", "replay_enabled": False,
                      "aug.max_shift": 1, "aug.hflip_prob": 0.25,
                      "aug.stream_enabled": True, "image_dims": (4, 2, 1),
-                     "bias.epochs": 9, "bias.batch_size": 11, "bias.lr": 0.2}
+                     "bias.epochs": 9, "bias.batch_size": 11, "bias.lr": 0.2,
+                     "synthetic.feature_dim": 8}
         got = train_config_from_experiment(load_experiment_config(None, overrides), 5)
         assert got == TrainConfig(
             buffer_capacity=7, replay_batch_size=3, stream_batch_size=4,
@@ -325,6 +326,15 @@ class TestExitCodes:
         "hidden_dims = 0",
         "hidden_dims = 8,0",
         "seeds = 0,-1",
+        "tricks = bic\nbias.batch_size = 0",
+        "tricks = bic\nbias.lr = -1",
+        "bias.epochs = -3",
+        "aug.max_shift = 9",
+        "aug.max_shift = -1",
+        "aug.hflip_prob = 2",
+        "tricks = iba\nimage_dims = 3,3,1",
+        "image_dims = 3,3,1",
+        "image_dims = 8",
     ])
     def test_bad_setting_is_2_before_any_data_is_read(self, tmp_path, monkeypatch, setting):
         def no_data(cfg):

@@ -1,11 +1,13 @@
 """Tests for the class-incremental training loop and its baselines."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
-from replay_lab.mlp import softmax_cross_entropy
+from replay_lab.mlp import Mlp, softmax_cross_entropy
 from replay_lab.trainer import (TrainConfig, ablation_suite, er_train_step,
                                 init_state, method_label, merge_tasks,
                                 run_class_il, run_joint_baseline,
@@ -88,6 +90,43 @@ class TestErTrainStep:
         info = er_train_step(state, x, y, config)
         assert info.replay_loss == 0.0
         np.testing.assert_array_equal(state.model.flat_params(), reference.flat_params())
+
+    def test_one_pass_step_matches_two_pass_reference(self, monkeypatch):
+        stream = small_stream()
+        config = small_config(hidden_dims=(8, 6))
+        state = init_state(stream, config)
+        task = stream.tasks[0]
+        for start in range(0, 15, 5):
+            er_train_step(state, task.train_features[start:start + 5],
+                          task.train_labels[start:start + 5], config)
+        x, y = task.train_features[15:20], task.train_labels[15:20]
+
+        # the same draw, worked as two separate batch means by hand
+        ref = copy.deepcopy(state)
+        _, replay_x, replay_y = ref.buffer.draw_replay_batch(
+            config.replay_batch_size, ref.rngs.replay)
+        losses, grads = [], []
+        for batch, labels in ((x, y), (replay_x, replay_y)):
+            logits, cache = ref.model.forward(batch)
+            loss, per_item, dlogits = softmax_cross_entropy(logits, labels)
+            ref.model.backward(cache, dlogits)
+            losses.append((loss, per_item))
+            grads.append(ref.model.flat_grads())
+        expected = ref.model.flat_params() - config.lr0 * (grads[0] + grads[1])
+
+        rows = []
+        forward = Mlp.forward
+
+        def counting_forward(self, inputs):
+            rows.append(len(inputs))
+            return forward(self, inputs)
+        monkeypatch.setattr(Mlp, "forward", counting_forward)
+        info = er_train_step(state, x, y, config)
+        assert rows == [len(y) + config.replay_batch_size]
+        np.testing.assert_allclose(state.model.flat_params(), expected, rtol=1e-12)
+        assert info.stream_loss == pytest.approx(losses[0][0], rel=1e-12)
+        assert info.replay_loss == pytest.approx(losses[1][0], rel=1e-12)
+        np.testing.assert_allclose(info.per_item_losses, losses[0][1], rtol=1e-12)
 
     def test_loss_decomposition_sums_exactly(self):
         stream = small_stream()
