@@ -34,16 +34,11 @@ import numpy as np
 from .datasets import (FASHION_MNIST_CLASSES, FASHION_MNIST_IMAGE_DIMS, IdxFormatError,
                        load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream)
 from .mlp import Mlp, gradient_check
-from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
-                       RING, ReplayBuffer, omission_probability)
+from .sampling import STRATEGIES, ReplayBuffer, omission_probability
 from .trainer import (TRICK_TOKENS, TrainConfig, ablation_suite, aug_policy,
                       run_class_il, run_joint_baseline)
 
 DATA_ENV_VAR = "REPLAYLAB_DATA"
-RUNS_SCHEMA = "replay-lab-runs-v1"
-ABLATION_SCHEMA = "replay-lab-ablation-v1"
-BALANCE_SCHEMA = "replay-lab-balance-v1"
-OMISSION_SCHEMA = "replay-lab-omission-v1"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,6 +78,20 @@ def _parse_tricks(text: str) -> tuple[str, ...]:
     return tokens
 
 
+def _config_key(field_name: str) -> str:
+    """The config key of a ``TrainConfig`` field: the underscore after an
+    ``aug`` or ``bias`` prefix reads as ``.`` (``bias_lr`` -> ``bias.lr``)."""
+    if field_name.startswith(("aug_", "bias_")):
+        return field_name.replace("_", ".", 1)
+    return field_name
+
+
+# TrainConfig fields with a config key of their own: not the trick booleans
+# (from ``tricks``), ``seed`` (from ``seeds``) or ``image_dims`` (inferred).
+_TRAIN_FIELDS = tuple(f for f in fields(TrainConfig)
+                      if f.name not in (*TRICK_TOKENS, "seed", "image_dims"))
+_PARSER_BY_TYPE = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_list}
+
 # Registry of configuration keys: default value and parser. The documented
 # configuration surface is exactly this table (see README).
 CONFIG_KEYS: dict[str, tuple[object, object]] = {
@@ -91,23 +100,10 @@ CONFIG_KEYS: dict[str, tuple[object, object]] = {
     "method": ("auto", str),                        # auto | joint
     "seeds": ((0,), _parse_int_list),
     "classes_per_task": (2, int),
-    "buffer_capacity": (500, int),
-    "replay_batch_size": (32, int),
-    "stream_batch_size": (32, int),
-    "epochs_per_task": (1, int),
-    "hidden_dims": ((256, 256), _parse_int_list),
-    "lr0": (0.1, float),
-    "decay_fraction": (1.0 / 6.0, float),
     "tricks": ((), _parse_tricks),
-    "base_strategy": ("reservoir", str),
-    "replay_enabled": (True, _parse_bool),
-    "aug.max_shift": (0, int),
-    "aug.hflip_prob": (0.0, float),
-    "aug.stream_enabled": (False, _parse_bool),
     "image_dims": ((), _parse_int_list),            # empty -> inferred
-    "bias.epochs": (50, int),
-    "bias.batch_size": (32, int),
-    "bias.lr": (0.01, float),
+    **{_config_key(f.name): (f.default, _PARSER_BY_TYPE[type(f.default)])
+       for f in _TRAIN_FIELDS},
     "synthetic.class_count": (10, int),
     "synthetic.per_class": (300, int),
     "synthetic.per_class_test": (100, int),
@@ -148,6 +144,14 @@ class ExperimentConfig:
                 for k, v in sorted(self.values.items())}
 
 
+def _parse_value(key: str, text: str, where: str):
+    """Parse a config line's or a flag's value with the parser of ``key``."""
+    try:
+        return CONFIG_KEYS[key][1](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str) -> dict:
     """Parse a flat key = value document, validating keys and values."""
     values = {}
@@ -161,11 +165,7 @@ def parse_config_text(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        _, parser = CONFIG_KEYS[key]
-        try:
-            values[key] = parser(val)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        values[key] = _parse_value(key, val, f"line {lineno}")
     return values
 
 
@@ -197,6 +197,8 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     for key, low in minimums.items():
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    if not math.isfinite(cfg["synthetic.separation"]):
+        raise ConfigError(f"synthetic.separation must be finite, got {cfg['synthetic.separation']}")
     class_count = (cfg["synthetic.class_count"] if cfg["dataset"] == "synthetic"
                    else FASHION_MNIST_CLASSES)
     if class_count % cfg["classes_per_task"]:
@@ -212,18 +214,15 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    """Copy every config key whose name, with ``.`` read as ``_``, is a
-    ``TrainConfig`` field (``bias.lr`` -> ``bias_lr``); each trick token
-    sets the boolean of the same name. Empty ``image_dims`` is inferred
-    from the dataset."""
-    names = {f.name for f in fields(TrainConfig)}
-    kwargs = {key.replace(".", "_"): val for key, val in cfg.values.items()
-              if key.replace(".", "_") in names}
+    """Copy each ``TrainConfig`` field from its config key (``bias_lr`` from
+    ``bias.lr``); each trick token sets the boolean of the same name. Empty
+    ``image_dims`` is inferred from the dataset."""
+    kwargs = {f.name: cfg[_config_key(f.name)] for f in _TRAIN_FIELDS}
     kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
-    kwargs["image_dims"] = tuple(cfg["image_dims"]) or (
+    image_dims = tuple(cfg["image_dims"]) or (
         FASHION_MNIST_IMAGE_DIMS if cfg["dataset"] == "fashion-mnist" else None)
     try:
-        return TrainConfig(**kwargs, seed=seed)
+        return TrainConfig(**kwargs, image_dims=image_dims, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -257,16 +256,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, schema: str, config_hash: str, header: list[str],
-              rows: list[list]) -> None:
-    lines = [f"# {schema} config_sha256={config_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+class _OutputPair:
+    """A command's CSV and JSON outputs. The directory is made when the pair
+    is made, so an unwritable output directory fails before any work."""
 
+    def __init__(self, out: str, csv_name: str, json_name: str, schema: str):
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.csv, self.json, self.schema = out_dir / csv_name, out_dir / json_name, schema
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def write(self, config_hash: str, header: list[str], rows: list[list],
+              payload: dict) -> None:
+        """Write the CSV, under a schema and config-hash comment, and the JSON."""
+        lines = [f"# {self.schema} config_sha256={config_hash}", ",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        self.csv.write_text("\n".join(lines) + "\n")
+        self.json.write_text(json.dumps({"schema": self.schema, **payload},
+                                        indent=2, sort_keys=True) + "\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -274,8 +280,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = _OutputPair(args.out, "runs.csv", "report.json", "replay-lab-runs-v1")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
 
@@ -297,55 +302,43 @@ def cmd_run(args) -> int:
         rows.append([rep.method, tricks, rep.seed, chash]
                     + rep.per_task_accuracy
                     + [rep.average_accuracy, rep.wall_clock_seconds])
-    write_csv(out_dir / "runs.csv", RUNS_SCHEMA, chash, header, rows)
-    write_json(out_dir / "report.json", {
-        "schema": RUNS_SCHEMA,
+    out.write(chash, header, rows, {
         "config": cfg.echo_dict(),
         "config_sha256": chash,
         "runs": [rep.to_json_dict() for rep in reports],
     })
-    print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'report.json'}")
+    print(f"wrote {out.csv} and {out.json}")
     return EXIT_OK
 
 
 def cmd_ablation(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v1")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
     base = train_config_from_experiment(cfg, cfg["seeds"][0])
     rows = ablation_suite(stream, base, cfg["seeds"])
 
+    summary = [{"label": row.label,
+                "tricks": list(row.config.active_tricks()),
+                "mean_accuracy": row.mean_accuracy,
+                "std_accuracy": row.std_accuracy,
+                "runs": [rep.to_json_dict() for rep in row.reports]} for row in rows]
     header = ["label", "tricks", "seeds", "config_hash",
               "mean_accuracy", "std_accuracy"]
-    csv_rows = []
-    for row in rows:
-        tricks = "+".join(row.config.active_tricks()) or "none"
-        csv_rows.append([row.label, tricks,
-                         ";".join(str(s) for s in cfg["seeds"]), chash,
-                         row.mean_accuracy, row.std_accuracy])
-    write_csv(out_dir / "ablation.csv", ABLATION_SCHEMA, chash, header, csv_rows)
-    write_json(out_dir / "ablation.json", {
-        "schema": ABLATION_SCHEMA,
-        "config": cfg.echo_dict(),
-        "config_sha256": chash,
-        "rows": [{
-            "label": row.label,
-            "tricks": list(row.config.active_tricks()),
-            "mean_accuracy": row.mean_accuracy,
-            "std_accuracy": row.std_accuracy,
-            "runs": [rep.to_json_dict() for rep in row.reports],
-        } for row in rows],
-    })
-    print(f"wrote {out_dir / 'ablation.csv'} and {out_dir / 'ablation.json'}")
+    seeds = ";".join(str(s) for s in cfg["seeds"])
+    csv_rows = [[r["label"], "+".join(r["tricks"]) or "none", seeds, chash,
+                 r["mean_accuracy"], r["std_accuracy"]] for r in summary]
+    out.write(chash, header, csv_rows,
+              {"config": cfg.echo_dict(), "config_sha256": chash, "rows": summary})
+    print(f"wrote {out.csv} and {out.json}")
     return EXIT_OK
 
 
 TOY_CLASS_COUNT = 6
 TOY_PER_CLASS = 170
 TOY_CAPACITY = 12
-TOY_STRATEGIES = (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RING)
+TOY_STRATEGIES = STRATEGIES
 
 
 def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
@@ -374,30 +367,26 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def cmd_balance_toy(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = _OutputPair(args.out, "balance.csv", "balance.json", "replay-lab-balance-v1")
     counts = balance_toy(args.repetitions, args.seed)
     ideal = TOY_CAPACITY / TOY_CLASS_COUNT
     chash = hashlib.sha256(
         f"balance-toy repetitions={args.repetitions} seed={args.seed}".encode()).hexdigest()
 
+    summary = {}
+    for strategy, mat in counts.items():
+        mses = ((mat - ideal) ** 2).mean(axis=1)
+        summary[strategy] = {"mse_mean": float(mses.mean()),
+                             "mse_std": float(mses.std()),
+                             "mean_counts": mat.mean(axis=0).tolist(),
+                             "std_counts": mat.std(axis=0).tolist()}
+        print(f"{strategy:>10}: MSE {mses.mean():.3f} +/- {mses.std():.3f}")
     header = (["strategy", "repetitions", "mse_mean", "mse_std"]
               + [f"mean_count_{c}" for c in range(TOY_CLASS_COUNT)]
               + [f"std_count_{c}" for c in range(TOY_CLASS_COUNT)])
-    rows, summary = [], {}
-    for strategy, mat in counts.items():
-        mses = ((mat - ideal) ** 2).mean(axis=1)
-        rows.append([strategy, args.repetitions, float(mses.mean()), float(mses.std())]
-                    + [float(x) for x in mat.mean(axis=0)]
-                    + [float(x) for x in mat.std(axis=0)])
-        summary[strategy] = {"mse_mean": float(mses.mean()),
-                             "mse_std": float(mses.std()),
-                             "mean_counts": [float(x) for x in mat.mean(axis=0)],
-                             "std_counts": [float(x) for x in mat.std(axis=0)]}
-        print(f"{strategy:>10}: MSE {mses.mean():.3f} +/- {mses.std():.3f}")
-    write_csv(out_dir / "balance.csv", BALANCE_SCHEMA, chash, header, rows)
-    write_json(out_dir / "balance.json", {
-        "schema": BALANCE_SCHEMA,
+    rows = [[strategy, args.repetitions, s["mse_mean"], s["mse_std"],
+             *s["mean_counts"], *s["std_counts"]] for strategy, s in summary.items()]
+    out.write(chash, header, rows, {
         "repetitions": args.repetitions,
         "seed": args.seed,
         "ideal_per_class": ideal,
@@ -427,24 +416,21 @@ def monte_carlo_omission(class_count: int, capacity: int, trials: int,
 
 
 def cmd_omission(args) -> int:
+    out = (_OutputPair(args.out, "omission.csv", "omission.json", "replay-lab-omission-v1")
+           if args.out else None)
     analytic = omission_probability(args.classes, args.capacity)
     mc = monte_carlo_omission(args.classes, args.capacity, args.trials, args.seed)
     print(f"C={args.classes} B={args.capacity}: "
           f"analytic={analytic:.6f} monte_carlo={mc:.6f} ({args.trials} trials)")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out:
         chash = hashlib.sha256(
             f"omission C={args.classes} B={args.capacity} trials={args.trials} "
             f"seed={args.seed}".encode()).hexdigest()
-        write_csv(out_dir / "omission.csv", OMISSION_SCHEMA, chash,
-                  ["class_count", "capacity", "analytic", "monte_carlo", "trials"],
-                  [[args.classes, args.capacity, analytic, mc, args.trials]])
-        write_json(out_dir / "omission.json", {
-            "schema": OMISSION_SCHEMA, "class_count": args.classes,
-            "capacity": args.capacity, "analytic": analytic,
-            "monte_carlo": mc, "trials": args.trials, "seed": args.seed,
-        })
+        out.write(chash, ["class_count", "capacity", "analytic", "monte_carlo", "trials"],
+                  [[args.classes, args.capacity, analytic, mc, args.trials]],
+                  {"class_count": args.classes, "capacity": args.capacity,
+                   "analytic": analytic, "monte_carlo": mc, "trials": args.trials,
+                   "seed": args.seed})
     return EXIT_OK
 
 
@@ -493,20 +479,29 @@ def cmd_gradcheck(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+# run and ablation flags that override a config key
+_RUN_FLAG_KEYS = {"seeds": "seeds", "buffer": "buffer_capacity", "tricks": "tricks",
+                  "dataset": "dataset"}
+
+
 def _run_overrides(args) -> dict:
-    overrides: dict = {}
-    if args.seeds is not None:
-        overrides["seeds"] = _parse_int_list(args.seeds)
-    if args.buffer is not None:
-        overrides["buffer_capacity"] = args.buffer
-    if args.tricks is not None:
-        try:
-            overrides["tricks"] = _parse_tricks(args.tricks)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if args.dataset is not None:
-        overrides["dataset"] = args.dataset
-    return overrides
+    return {key: _parse_value(key, getattr(args, flag), f"--{flag}")
+            for flag, key in _RUN_FLAG_KEYS.items() if getattr(args, flag) is not None}
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--buffer", type=int, default=None, help="buffer capacity override")
+        p.add_argument("--buffer", default=None, help="buffer capacity override")
         p.add_argument("--tricks", default=None,
                        help="comma list of {iba,bic,cbic,elrd,brs,lars} or 'none'")
         p.add_argument("--dataset", choices=["fashion-mnist", "synthetic"], default=None)
@@ -534,22 +529,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(func=cmd_ablation)
 
     p_toy = sub.add_parser("balance-toy", help="buffer balance study (capacity 12, 6 classes)")
-    p_toy.add_argument("--repetitions", type=int, default=500)
-    p_toy.add_argument("--seed", type=int, default=0)
+    p_toy.add_argument("--repetitions", type=_positive, default=500)
+    p_toy.add_argument("--seed", type=_non_negative, default=0)
     p_toy.add_argument("--out", default="out")
     p_toy.set_defaults(func=cmd_balance_toy)
 
     p_om = sub.add_parser("omission", help="class-omission probability, closed form vs Monte Carlo")
-    p_om.add_argument("--classes", type=int, required=True)
-    p_om.add_argument("--capacity", type=int, required=True)
-    p_om.add_argument("--trials", type=int, default=100_000)
-    p_om.add_argument("--seed", type=int, default=0)
+    p_om.add_argument("--classes", type=_positive, required=True)
+    p_om.add_argument("--capacity", type=_non_negative, required=True)
+    p_om.add_argument("--trials", type=_positive, default=100_000)
+    p_om.add_argument("--seed", type=_non_negative, default=0)
     p_om.add_argument("--out", default=None)
     p_om.set_defaults(func=cmd_omission)
 
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--trials", type=int, default=20)
+    p_gc.add_argument("--seed", type=_non_negative, default=0)
+    p_gc.add_argument("--trials", type=_positive, default=20)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -210,8 +210,10 @@ class ReplayBuffer:
         unfilled = ~np.isin(indices, self.filled_ids())
         if unfilled.any():
             raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
-        for loss in losses.tolist():
-            _check_loss(loss)
+        if losses.size:
+            # the minimum is NaN or negative if any loss is; the maximum is inf
+            _check_loss(float(losses.min()))
+            _check_loss(float(losses.max()))
         self.loss[indices.astype(np.int64)] = losses
 
 

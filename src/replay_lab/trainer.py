@@ -73,8 +73,8 @@ class TrainConfig:
             raise ValueError("epochs_per_task must be >= 1")
         if any(d < 1 for d in self.hidden_dims):
             raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.decay_fraction <= 1.0:
             raise ValueError("decay_fraction must be in (0, 1]")
         if self.brs and self.lars:
@@ -89,8 +89,8 @@ class TrainConfig:
             raise ValueError("bias_epochs must be >= 0")
         if self.bias_batch_size < 1:
             raise ValueError("bias_batch_size must be >= 1")
-        if self.bias_lr <= 0:
-            raise ValueError("bias_lr must be positive")
+        if not 0 < self.bias_lr < math.inf:
+            raise ValueError(f"bias_lr must be positive and finite, got {self.bias_lr}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

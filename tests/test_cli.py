@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestConfigParsing:
         for trick in TRICK_TOKENS:
             cfg = load_experiment_config(None, {"tricks": (trick,)})
             assert train_config_from_experiment(cfg, 0).active_tricks() == (trick,)
+
+    def test_readme_documents_exactly_the_config_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+        documented = [line.split("=")[0].strip() for line in block.splitlines()
+                      if line.strip()]
+        assert sorted(documented) == sorted(CONFIG_KEYS)
 
     def test_hash_is_stable_and_value_sensitive(self):
         base = {k: default for k, (default, _) in CONFIG_KEYS.items()}
@@ -288,6 +296,34 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--tricks", "magic",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag", [["--seeds", "x"], ["--seeds", "0,a"],
+                                      ["--buffer", "many"]], ids=" ".join)
+    def test_bad_run_flag_is_2_like_a_bad_config_line(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, *flag, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["omission", "--classes", "0", "--capacity", "5"],
+        ["omission", "--classes", "4", "--capacity", "-1"],
+        ["omission", "--classes", "4", "--capacity", "5", "--trials", "0"],
+        ["omission", "--classes", "4", "--capacity", "5", "--trials", "-4"],
+        ["omission", "--classes", "4", "--capacity", "5", "--seed", "-1"],
+        ["balance-toy", "--repetitions", "0"],
+        ["balance-toy", "--repetitions", "-1"],
+        ["balance-toy", "--seed", "-1"],
+        ["gradcheck", "--trials", "0"],
+        ["gradcheck", "--trials", "-3"],
+        ["gradcheck", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_bad_count_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_data_dir_is_3(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPLAYLAB_DATA", raising=False)
         cfg = write_config(tmp_path)
@@ -328,6 +364,12 @@ class TestExitCodes:
         "seeds = 0,-1",
         "tricks = bic\nbias.batch_size = 0",
         "tricks = bic\nbias.lr = -1",
+        "tricks = bic\nbias.lr = nan",
+        "tricks = bic\nbias.lr = inf",
+        "lr0 = nan",
+        "lr0 = inf",
+        "synthetic.separation = nan",
+        "synthetic.separation = inf",
         "bias.epochs = -3",
         "aug.max_shift = 9",
         "aug.max_shift = -1",
