@@ -17,8 +17,8 @@ from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        lars_scores, omission_probability)
 from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 from .trainer import (AblationRow, RngStreams, StepInfo, TrainConfig,
-                      TrainState, ablation_suite, er_train_step, init_state,
-                      merge_tasks, method_label, run_class_il,
+                      TrainState, ablation_configs, ablation_suite, er_train_step,
+                      init_state, merge_tasks, method_label, run_class_il,
                       run_joint_baseline, run_sgd_baseline)
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ from .sampling import ReplayBuffer
 
 @dataclass(frozen=True)
 class BiasFitConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    lr: float = 0.01
+    epochs: int
+    batch_size: int
+    lr: float
 
 
 @dataclass(frozen=True)

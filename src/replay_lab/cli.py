@@ -35,8 +35,8 @@ from .datasets import (FASHION_MNIST_CLASSES, FASHION_MNIST_IMAGE_DIMS, IdxForma
                        load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream)
 from .mlp import Mlp, gradient_check
 from .sampling import STRATEGIES, ReplayBuffer, omission_probability
-from .trainer import (TRICK_TOKENS, TrainConfig, ablation_suite, aug_policy,
-                      run_class_il, run_joint_baseline)
+from .trainer import (TRICK_TOKENS, TrainConfig, ablation_configs, ablation_suite,
+                      aug_policy, run_class_il, run_joint_baseline)
 
 DATA_ENV_VAR = "REPLAYLAB_DATA"
 
@@ -313,11 +313,14 @@ def cmd_run(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
+    try:
+        steps = ablation_configs(train_config_from_experiment(cfg, cfg["seeds"][0]))
+    except ValueError as exc:
+        raise ConfigError(f"ablation rows: {exc}") from exc
     out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v1")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
-    base = train_config_from_experiment(cfg, cfg["seeds"][0])
-    rows = ablation_suite(stream, base, cfg["seeds"])
+    rows = ablation_suite(stream, steps, cfg["seeds"])
 
     summary = [{"label": row.label,
                 "tricks": list(row.config.active_tricks()),
@@ -399,20 +402,19 @@ def monte_carlo_omission(class_count: int, capacity: int, trials: int,
                          seed: int) -> float:
     """Fraction of trials in which a class ends up unrepresented when
     ``capacity`` items are drawn uniformly from balanced classes, averaged
-    over classes. Draws are processed in blocks to bound memory."""
+    over classes. Draws are processed in blocks to bound memory; the
+    draws, and so the result, do not depend on the block size."""
     if class_count == 1 or capacity == 0:
         return 0.0 if class_count == 1 else 1.0
     rng = np.random.default_rng(np.random.SeedSequence([seed, class_count, capacity]))
-    block = max(1, 10_000_000 // capacity)
-    omitted_total = np.zeros(class_count)
-    done = 0
-    while done < trials:
+    block = max(1, 10_000_000 // max(capacity, class_count))
+    absent = 0
+    for done in range(0, trials, block):
         n = min(block, trials - done)
-        draws = rng.integers(0, class_count, size=(n, capacity))
-        for c in range(class_count):
-            omitted_total[c] += np.sum(~np.any(draws == c, axis=1))
-        done += n
-    return float(omitted_total.mean() / trials)
+        present = np.zeros((n, class_count), dtype=bool)
+        present[np.arange(n)[:, None], rng.integers(0, class_count, size=(n, capacity))] = True
+        absent += n * class_count - int(np.count_nonzero(present))
+    return absent / class_count / trials
 
 
 def cmd_omission(args) -> int:

@@ -9,6 +9,7 @@ labeled dataset into an ordered stream of class-disjoint tasks.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,61 +92,52 @@ def _read_be_u32(data: bytes, offset: int) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
-def parse_idx_images(data: bytes) -> np.ndarray:
-    """Decode an IDX image file into an (n, h, w) float tensor scaled to
-    [0, 1] by dividing the raw unsigned bytes by 255."""
-    magic = _read_be_u32(data, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"bad magic 0x{magic:08x} at offset 0 (expected 0x{IDX_IMAGE_MAGIC:08x})")
-    n = _read_be_u32(data, 4)
-    h = _read_be_u32(data, 8)
-    w = _read_be_u32(data, 12)
-    count = n * h * w
+def _parse_idx(data: bytes, magic: int) -> np.ndarray:
+    """Decode an unsigned-byte IDX payload that must carry ``magic``, whose
+    low byte is the number of dimensions, into a uint8 array."""
+    found = _read_be_u32(data, 0)
+    if found != magic:
+        raise IdxFormatError(f"bad magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})")
+    shape = tuple(_read_be_u32(data, 4 * k) for k in range(1, 1 + (magic & 0xFF)))
+    count = math.prod(shape)
     if count > 2 ** 40:
-        raise IdxFormatError(f"dim overflow: sizes at offset 4 imply {count} pixels")
-    end = 16 + count
+        raise IdxFormatError(f"dim overflow: sizes at offset 4 imply {count} values")
+    start = 4 * (1 + len(shape))
+    end = start + count
     if len(data) < end:
         raise IdxFormatError(
             f"truncated payload: expected data up to offset {end}, file ends at {len(data)}")
     if len(data) > end:
         raise IdxFormatError(f"trailing bytes after offset {end}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=16)
-    return raw.reshape(n, h, w).astype(float) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, count=count, offset=start).reshape(shape)
+
+
+def parse_idx_images(data: bytes) -> np.ndarray:
+    """Decode an IDX image file into an (n, h, w) float tensor scaled to
+    [0, 1] by dividing the raw unsigned bytes by 255."""
+    return _parse_idx(data, IDX_IMAGE_MAGIC).astype(float) / 255.0
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
     """Decode an IDX label file into an (n,) integer vector."""
-    magic = _read_be_u32(data, 0)
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"bad magic 0x{magic:08x} at offset 0 (expected 0x{IDX_LABEL_MAGIC:08x})")
-    n = _read_be_u32(data, 4)
-    if n > 2 ** 40:
-        raise IdxFormatError(f"dim overflow: size at offset 4 implies {n} labels")
-    end = 8 + n
-    if len(data) < end:
-        raise IdxFormatError(
-            f"truncated payload: expected data up to offset {end}, file ends at {len(data)}")
-    if len(data) > end:
-        raise IdxFormatError(f"trailing bytes after offset {end}")
-    return np.frombuffer(data, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    return _parse_idx(data, IDX_LABEL_MAGIC).astype(np.int64)
+
+
+def _to_idx(values: np.ndarray, magic: int) -> bytes:
+    if values.ndim != magic & 0xFF:
+        raise ValueError(f"expected {magic & 0xFF} dimensions, got shape {values.shape}")
+    header = struct.pack(f">{1 + values.ndim}I", magic, *values.shape)
+    return header + values.astype(np.uint8).tobytes()
 
 
 def to_idx_images(images: np.ndarray) -> bytes:
     """Inverse of ``parse_idx_images`` for tensors whose values are integer
     multiples of 1/255 (round-trips bit-exactly)."""
-    images = np.asarray(images)
-    n, h, w = images.shape
-    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w)
-    raw = np.rint(images * 255.0).astype(np.uint8)
-    return header + raw.tobytes()
+    return _to_idx(np.rint(np.asarray(images) * 255.0), IDX_IMAGE_MAGIC)
 
 
 def to_idx_labels(labels: np.ndarray) -> bytes:
-    labels = np.asarray(labels)
-    header = struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0])
-    return header + labels.astype(np.uint8).tobytes()
+    return _to_idx(np.asarray(labels), IDX_LABEL_MAGIC)
 
 
 def read_idx_file(path) -> bytes:
@@ -161,6 +153,8 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load the four standard Fashion-MNIST IDX files from ``data_dir``.
 
     Accepts either plain or .gz files. Images are flattened to 784-vectors.
+    Raises ``IdxFormatError``, naming the file, unless every image is 28x28,
+    every label is a class id below 10 and each split holds every class.
     """
     data_dir = Path(data_dir)
 
@@ -171,11 +165,23 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
         raise FileNotFoundError(f"missing {name}[.gz] in {data_dir}")
 
     def load_split(images_name: str, labels_name: str) -> Dataset:
-        images = parse_idx_images(read_idx_file(find(images_name)))
-        labels = parse_idx_labels(read_idx_file(find(labels_name)))
+        images_path, labels_path = find(images_name), find(labels_name)
+        images = parse_idx_images(read_idx_file(images_path))
+        labels = parse_idx_labels(read_idx_file(labels_path))
+        if images.shape[1:] != FASHION_MNIST_IMAGE_DIMS[:2]:
+            raise IdxFormatError(f"{images_path}: images are {images.shape[1]}x"
+                                 f"{images.shape[2]}, expected 28x28")
         if images.shape[0] != labels.shape[0]:
             raise IdxFormatError(
                 f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}")
+        bad = np.flatnonzero(labels >= FASHION_MNIST_CLASSES)
+        if bad.size:
+            raise IdxFormatError(f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} "
+                                 f"is not a class id below {FASHION_MNIST_CLASSES}")
+        missing = np.setdiff1d(np.arange(FASHION_MNIST_CLASSES), labels)
+        if missing.size:
+            raise IdxFormatError(f"{labels_path}: no item of class {missing[0]}; "
+                                 f"each split needs all {FASHION_MNIST_CLASSES} classes")
         return Dataset(images.reshape(images.shape[0], -1), labels,
                        class_count=FASHION_MNIST_CLASSES)
 

@@ -8,7 +8,15 @@ overwriting what was there, and ``sgd_step`` applies them.
 
 from __future__ import annotations
 
+import math
+from copy import deepcopy
+
 import numpy as np
+
+# gradient_check's central-difference step and pass tolerances
+FD_STEP = 1e-4
+GRADCHECK_REL_TOL = 1e-4
+GRADCHECK_ABS_FLOOR = 1e-7
 
 
 class Mlp:
@@ -17,6 +25,10 @@ class Mlp:
     ``layer_dims`` is (input, hidden..., output); with two entries the model
     is a single affine map. Weights are drawn zero-mean with He-style
     fan-in scaling sqrt(2 / fan_in); biases start at zero.
+
+    The parameters are one float64 vector ``params`` and the gradients one
+    ``grads``; ``weights``, ``biases``, ``weight_grads`` and ``bias_grads``
+    are tuples of views into them (layout: ``_layer_views``).
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator):
@@ -25,23 +37,20 @@ class Mlp:
             raise ValueError("layer_dims needs at least an input and an output dim")
         if any(d <= 0 for d in dims):
             raise ValueError(f"all layer dims must be positive, got {dims}")
-        self.layer_dims = dims
-        self.weights = [
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            for fan_in, fan_out in zip(dims[:-1], dims[1:])
-        ]
-        self.biases = [np.zeros(fan_out) for fan_out in dims[1:]]
-        self.weight_grads = [np.zeros_like(w) for w in self.weights]
-        self.bias_grads = [np.zeros_like(b) for b in self.biases]
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        self.__setstate__({"layer_dims": dims, "params": np.zeros(size), "grads": np.zeros(size)})
+        for w in self.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    def __getstate__(self) -> dict:
+        return {"layer_dims": self.layer_dims, "params": self.params, "grads": self.grads}
 
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    # -- forward / backward ---------------------------------------------------
+    def __setstate__(self, state: dict) -> None:
+        """Take the dims and the two vectors of ``state`` and make the views
+        into the vectors, so a deep copy or an unpickled model has its own."""
+        self.__dict__.update(state)
+        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
+        self.weight_grads, self.bias_grads = _layer_views(self.grads, self.layer_dims)
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Compute logits for a (batch, input_dim) matrix.
@@ -78,7 +87,7 @@ class Mlp:
             raise ValueError("dlogits shape does not match the cached forward batch")
         activations, pres = cache["activations"], cache["pres"]
         delta = dlogits
-        for layer in range(self.n_layers - 1, -1, -1):
+        for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[layer].T, delta, out=self.weight_grads[layer])
             delta.sum(axis=0, out=self.bias_grads[layer])
             if layer > 0:
@@ -89,44 +98,23 @@ class Mlp:
         ``backward``."""
         if learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
-        for w, g in zip(self.weights, self.weight_grads):
-            w -= learning_rate * g
-        for b, g in zip(self.biases, self.bias_grads):
-            b -= learning_rate * g
-
-    # -- parameter plumbing ----------------------------------------------------
-
-    def flat_params(self) -> np.ndarray:
-        """All parameters concatenated into one vector (copy)."""
-        return np.concatenate([w.ravel() for w in self.weights]
-                              + [b.ravel() for b in self.biases])
-
-    def set_flat_params(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != self.num_params():
-            raise ValueError(f"expected {self.num_params()} values, got {vec.size}")
-        pos = 0
-        for w in self.weights:
-            w[...] = vec[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-        for b in self.biases:
-            b[...] = vec[pos:pos + b.size].reshape(b.shape)
-            pos += b.size
-
-    def flat_grads(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.weight_grads]
-                              + [g.ravel() for g in self.bias_grads])
+        for p, g in zip(self.weights + self.biases, self.weight_grads + self.bias_grads):
+            p -= learning_rate * g
 
     def copy(self) -> "Mlp":
         """Deep copy that keeps the subclass, so an overridden ``backward``
         is what ``gradient_check`` checks."""
-        dup = type(self).__new__(type(self))
-        dup.layer_dims = list(self.layer_dims)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        dup.weight_grads = [g.copy() for g in self.weight_grads]
-        dup.bias_grads = [g.copy() for g in self.bias_grads]
-        return dup
+        return deepcopy(self)
+
+
+def _layer_views(vec: np.ndarray, dims: list[int]) -> tuple[tuple, tuple]:
+    """(weight matrices, bias vectors) of an ``Mlp`` with ``dims`` as views
+    into ``vec``: every weight matrix in layer order, then every bias."""
+    shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = tuple(vec[end - math.prod(shape):end].reshape(shape)
+                  for shape, end in zip(shapes, ends))
+    return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -164,42 +152,34 @@ def softmax_cross_entropy(logits: np.ndarray,
     return float(per_example.mean()), per_example, dlogits
 
 
-def finite_difference_grads(model: Mlp, inputs: np.ndarray, labels: np.ndarray,
-                            step: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of the mean cross-entropy loss with
-    respect to every parameter. Independent of ``backward``: uses only
-    forward evaluations at perturbed parameter vectors."""
-    base = model.flat_params()
-    grads = np.empty_like(base)
+def finite_difference_grads(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Central-difference gradient (step ``FD_STEP``) of the mean cross-entropy
+    loss for every entry of ``params``. Independent of ``backward``: only
+    forward passes, each with one parameter of a copy moved in place."""
     probe = model.copy()
-    for i in range(base.size):
-        vec = base.copy()
-        vec[i] = base[i] + step
-        probe.set_flat_params(vec)
+    grads = np.empty_like(probe.params)
+    for i, value in enumerate(model.params):
+        probe.params[i] = value + FD_STEP
         up, _, _ = softmax_cross_entropy(probe.forward(inputs)[0], labels)
-        vec[i] = base[i] - step
-        probe.set_flat_params(vec)
+        probe.params[i] = value - FD_STEP
         down, _, _ = softmax_cross_entropy(probe.forward(inputs)[0], labels)
-        grads[i] = (up - down) / (2.0 * step)
+        probe.params[i] = value
+        grads[i] = (up - down) / (2.0 * FD_STEP)
     return grads
 
 
-def gradient_check(model: Mlp, inputs: np.ndarray, labels: np.ndarray,
-                   rel_tol: float = 1e-4, abs_floor: float = 1e-7,
-                   step: float = 1e-4) -> tuple[bool, float]:
+def gradient_check(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> tuple[bool, float]:
     """Compare analytic gradients against central finite differences.
 
-    A component passes when |analytic - numeric| <= abs_floor +
-    rel_tol * |numeric|. Returns (all components pass, worst residual ratio
-    |a - n| / (abs_floor + rel_tol * |n|)).
+    Returns (every component passes, worst residual ratio
+    |a - n| / (GRADCHECK_ABS_FLOOR + GRADCHECK_REL_TOL * |n|)); a component
+    passes when its ratio is at most 1.
     """
     work = model.copy()
     logits, cache = work.forward(inputs)
     _, _, dlogits = softmax_cross_entropy(logits, labels)
     work.backward(cache, dlogits)
-    analytic = work.flat_grads()
-    numeric = finite_difference_grads(model, inputs, labels, step=step)
-    tol = abs_floor + rel_tol * np.abs(numeric)
-    ratios = np.abs(analytic - numeric) / tol
-    worst = float(ratios.max())
+    numeric = finite_difference_grads(model, inputs, labels)
+    tol = GRADCHECK_ABS_FLOOR + GRADCHECK_REL_TOL * np.abs(numeric)
+    worst = float((np.abs(work.grads - numeric) / tol).max())
     return bool(worst <= 1.0), worst

@@ -374,19 +374,17 @@ class AblationRow:
     std_accuracy: float
 
 
-def ablation_suite(task_stream: TaskStream, base_config: TrainConfig,
-                   seeds) -> list[AblationRow]:
-    """Apply the tricks cumulatively to plain experience replay.
+def ablation_configs(base_config: TrainConfig) -> list[tuple[str, TrainConfig]]:
+    """The (label, config) rows of the cumulative trick ablation.
 
-    Row order: er, +iba, +bic, +elrd, +brs, +lars, where +lars swaps the
+    The tricks are applied cumulatively to plain experience replay. Row
+    order: er, +iba, +bic, +elrd, +brs, +lars, where +lars swaps the
     balanced rule for the loss-aware one (the two are exclusive by
     construction). The +iba row is skipped when the stream itself is not
     augmented, since re-augmenting buffer draws only makes sense alongside
-    stream augmentation. Each row runs once per seed.
+    stream augmentation. Raises ``ValueError`` when a row's combination is
+    invalid (a ring base buffer cannot take +brs).
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     cfg = baseline_config(base_config, buffer_capacity=base_config.buffer_capacity)
     steps: list[tuple[str, TrainConfig]] = [("er", cfg)]
     if base_config.aug_stream_enabled:
@@ -400,7 +398,15 @@ def ablation_suite(task_stream: TaskStream, base_config: TrainConfig,
     steps.append(("+brs", cfg))
     cfg = replace(cfg, brs=False, lars=True)
     steps.append(("+lars", cfg))
+    return steps
 
+
+def ablation_suite(task_stream: TaskStream, steps: list[tuple[str, TrainConfig]],
+                   seeds) -> list[AblationRow]:
+    """Run each (label, config) row of ``ablation_configs`` once per seed."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     rows = []
     for label, step_cfg in steps:
         reports = [run_class_il(task_stream, replace(step_cfg, seed=s)) for s in seeds]

@@ -23,6 +23,11 @@ def buffer_of(features, labels):
     return buf
 
 
+def fit_config(epochs):
+    """The run defaults of the bias fit (``TrainConfig.bias_*``), ``epochs`` aside."""
+    return BiasFitConfig(epochs=epochs, batch_size=32, lr=0.01)
+
+
 def linear_model(weight, bias=None):
     """Single affine layer with exactly the given parameters."""
     weight = np.asarray(weight, dtype=float)
@@ -168,7 +173,7 @@ class TestFitBic:
 
     def test_zero_epochs_returns_identity(self):
         model, buf = self.identity_optimum_setup()
-        layer = fit_bic(model, buf, {1}, BiasFitConfig(epochs=0), np.random.default_rng(8))
+        layer = fit_bic(model, buf, {1}, fit_config(0), np.random.default_rng(8))
         assert (layer.alpha, layer.beta) == (1.0, 0.0)
 
     @pytest.mark.parametrize("classes", [set(), {2}])
@@ -176,18 +181,18 @@ class TestFitBic:
         # empty, or a class id past the model's two logits
         model, buf = self.identity_optimum_setup()
         with pytest.raises(ValueError):
-            fit_bic(model, buf, classes, BiasFitConfig(), np.random.default_rng(16))
+            fit_bic(model, buf, classes, fit_config(50), np.random.default_rng(16))
 
     def test_negative_class_rejected(self):
         model, buf = self.identity_optimum_setup()
         with pytest.raises(ValueError, match="class id -1 out of range for 2 logits"):
-            fit_bic(model, buf, {-1}, BiasFitConfig(), np.random.default_rng(16))
+            fit_bic(model, buf, {-1}, fit_config(50), np.random.default_rng(16))
 
     def test_backbone_parameters_untouched(self):
         model, buf = self.identity_optimum_setup()
-        before = model.flat_params()
-        fit_bic(model, buf, {1}, BiasFitConfig(epochs=50), np.random.default_rng(9))
-        np.testing.assert_array_equal(model.flat_params(), before)
+        before = model.params.copy()
+        fit_bic(model, buf, {1}, fit_config(50), np.random.default_rng(9))
+        np.testing.assert_array_equal(model.params, before)
 
 
 class TestFitCbic:
@@ -241,7 +246,7 @@ class TestFitCbic:
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id 9 out of range for 4 logits"):
             fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, 9: 1},
-                     BiasFitConfig(epochs=5), np.random.default_rng(17))
+                     fit_config(5), np.random.default_rng(17))
 
     def test_negative_class_rejected(self):
         # class -1 would map onto logit 3 and leave task 1's offset stuck
@@ -249,10 +254,10 @@ class TestFitCbic:
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
             fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1},
-                     BiasFitConfig(epochs=5), np.random.default_rng(17))
+                     fit_config(5), np.random.default_rng(17))
 
     def test_backbone_parameters_untouched(self):
         model, buf, partition = self.symmetric_setup()
-        before = model.flat_params()
-        fit_cbic(model, buf, partition, BiasFitConfig(epochs=50), np.random.default_rng(15))
-        np.testing.assert_array_equal(model.flat_params(), before)
+        before = model.params.copy()
+        fit_cbic(model, buf, partition, fit_config(50), np.random.default_rng(15))
+        np.testing.assert_array_equal(model.params, before)

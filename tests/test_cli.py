@@ -12,6 +12,7 @@ from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                             balance_toy, load_experiment_config, main,
                             monte_carlo_omission, parse_config_text,
                             train_config_from_experiment)
+from replay_lab.datasets import to_idx_images, to_idx_labels
 from replay_lab.sampling import omission_probability
 from replay_lab.trainer import TRICK_TOKENS, TrainConfig
 
@@ -190,6 +191,19 @@ class TestCmdAblation:
         payload = json.loads((out / "ablation.json").read_text())
         assert len(payload["rows"]) == 5
 
+    def test_bad_row_combination_is_2_before_any_data_is_read(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a ring base buffer is a valid run setting, but the +brs row cannot take it
+        def no_data(cfg):
+            pytest.fail("data was read before the ablation rows were checked")
+        monkeypatch.setattr(cli, "build_task_stream", no_data)
+        cfg = write_config(tmp_path, TINY_CONFIG + "base_strategy = ring\n")
+        out = tmp_path / "out"
+        assert main(["ablation", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "ring buffer cannot be combined with brs/lars" in err
+        assert not out.exists()
+
 
 class TestCmdBalanceToy:
     def test_ring_is_exactly_balanced(self, tmp_path):
@@ -224,6 +238,15 @@ class TestCmdOmission:
         for c, b in [(2, 2), (4, 6), (10, 10)]:
             mc = monte_carlo_omission(c, b, trials=200_000, seed=5)
             assert abs(mc - omission_probability(c, b)) <= 0.01
+
+    def test_matches_a_per_class_loop_over_one_block(self):
+        # the draws do not depend on the block split: 5000 classes give blocks
+        # of 2000 trials, while the reference draws all 5001 trials at once
+        for c, b, trials in [(10, 10, 5000), (5000, 3, 5001)]:
+            rng = np.random.default_rng(np.random.SeedSequence([7, c, b]))
+            draws = rng.integers(0, c, size=(trials, b))
+            absent = sum(int(np.sum(~np.any(draws == k, axis=1))) for k in range(c))
+            assert monte_carlo_omission(c, b, trials, seed=7) == absent / c / trials
 
 
 class TestCmdGradcheck:
@@ -330,14 +353,35 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
                      "--out", str(tmp_path / "o")]) == 3
 
-    def test_corrupt_data_file_is_3(self, tmp_path, monkeypatch):
+    # case -> (image side, train labels, test labels, expected message) of the
+    # four IDX files; "garbage" then overwrites the train images with non-IDX bytes
+    CORRUPT_DATA = {
+        "garbage": (28, np.arange(20) % 10, np.arange(10), "bad magic"),
+        "8x8 images": (8, np.arange(20) % 10, np.arange(10),
+                       "train-images-idx3-ubyte: images are 8x8, expected 28x28"),
+        "labels 10 and 11": (28, np.arange(22) % 12, np.arange(10),
+                             "train-labels-idx1-ubyte: label 10 at offset 18"),
+        "no class 9 in the test split": (28, np.arange(20) % 10, np.arange(10) % 9,
+                                         "t10k-labels-idx1-ubyte: no item of class 9"),
+    }
+
+    @pytest.mark.parametrize("case", CORRUPT_DATA)
+    def test_corrupt_data_file_is_3(self, tmp_path, monkeypatch, capsys, case):
+        side, train_labels, test_labels, message = self.CORRUPT_DATA[case]
         data_dir = tmp_path / "data"
         data_dir.mkdir()
-        (data_dir / "train-images-idx3-ubyte").write_bytes(b"garbage")
+        for prefix, labels in (("train", train_labels), ("t10k", test_labels)):
+            images = np.zeros((len(labels), side, side))
+            (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(to_idx_images(images))
+            (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(to_idx_labels(labels))
+        if case == "garbage":
+            (data_dir / "train-images-idx3-ubyte").write_bytes(b"garbage")
         monkeypatch.setenv("REPLAYLAB_DATA", str(data_dir))
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
                      "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
 
     def test_runtime_failure_is_4(self, tmp_path, monkeypatch, capsys):
         # an unexpected exception during training exits 4 with its traceback

@@ -85,6 +85,12 @@ class TestIdxRoundTrip:
         labels = np.array([3, 1, 4, 1, 5], dtype=np.int64)
         np.testing.assert_array_equal(parse_idx_labels(to_idx_labels(labels)), labels)
 
+    def test_wrong_rank_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 dimensions"):
+            to_idx_images(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="expected 1 dimensions"):
+            to_idx_labels(np.zeros((2, 1)))
+
     def test_gzip_detection(self, tmp_path):
         blob = idx_labels_bytes(2, [1, 2])
         plain = tmp_path / "labels"

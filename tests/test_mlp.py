@@ -1,6 +1,8 @@
 """Tests for the from-scratch MLP: shapes, forward, loss, gradients, SGD."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ class TestInit:
         model = tiny_model([784, 256, 256, 10])
         expected = (784 * 256 + 256) + (256 * 256 + 256) + (256 * 10 + 10)
         assert expected == 269_322
-        assert model.num_params() == expected
+        assert model.params.shape == model.grads.shape == (expected,)
 
     def test_biases_start_at_zero(self):
         model = tiny_model([5, 7, 3])
@@ -29,11 +31,11 @@ class TestInit:
     def test_same_seed_gives_bit_identical_parameters(self):
         a = tiny_model([6, 4, 3], seed=9)
         b = tiny_model([6, 4, 3], seed=9)
-        np.testing.assert_array_equal(a.flat_params(), b.flat_params())
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_grads_start_at_zero(self):
         model = tiny_model([4, 3])
-        np.testing.assert_array_equal(model.flat_grads(), 0.0)
+        np.testing.assert_array_equal(model.grads, 0.0)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -45,7 +47,7 @@ class TestInit:
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
         model = tiny_model([4, 6, 3])
-        model.set_flat_params(np.zeros(model.num_params()))
+        model.params[:] = 0.0
         logits, _ = model.forward(np.random.default_rng(0).uniform(size=(5, 4)))
         np.testing.assert_array_equal(logits, 0.0)
 
@@ -64,14 +66,14 @@ class TestForward:
         logits, _ = model.forward(x)
         for r in range(x.shape[0]):
             vec = list(x[r])
-            for layer in range(model.n_layers):
+            for layer in range(len(model.weights)):
                 w, b = model.weights[layer], model.biases[layer]
                 out = []
                 for j in range(w.shape[1]):
                     s = b[j]
                     for i in range(w.shape[0]):
                         s += vec[i] * w[i, j]
-                    if layer < model.n_layers - 1:
+                    if layer < len(model.weights) - 1:
                         s = max(s, 0.0)
                     out.append(s)
                 vec = out
@@ -143,7 +145,7 @@ class TestBackward:
         model = tiny_model([4, 3, 2])
         _, cache = model.forward(np.random.default_rng(0).uniform(size=(3, 4)))
         model.backward(cache, np.zeros((3, 2)))
-        np.testing.assert_array_equal(model.flat_grads(), 0.0)
+        np.testing.assert_array_equal(model.grads, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -185,7 +187,7 @@ class TestBackward:
         backward_on(model, rng.uniform(size=(2, 3)))
         backward_on(model, second)
         backward_on(fresh, second)
-        np.testing.assert_array_equal(model.flat_grads(), fresh.flat_grads())
+        np.testing.assert_array_equal(model.grads, fresh.grads)
 
     def test_missing_cache_rejected(self):
         model = tiny_model([3, 2])
@@ -210,10 +212,10 @@ class TestGradientCheckOnSubclasses:
 class TestSgdStep:
     def test_zero_lr_leaves_parameters_unchanged(self):
         model = tiny_model([3, 2], seed=2)
-        before = model.flat_params()
+        before = model.params.copy()
         model.weight_grads[0][:] = 1.0
         model.sgd_step(0.0)
-        np.testing.assert_array_equal(model.flat_params(), before)
+        np.testing.assert_array_equal(model.params, before)
 
     def test_single_parameter_update_rule(self):
         model = tiny_model([1, 1], seed=0)
@@ -250,15 +252,56 @@ class TestSgdStep:
         assert values[-1] < 1e-15
 
 
-class TestFlatParams:
-    def test_set_flat_params_round_trip(self):
+class TestParameterViews:
+    def test_layout_is_every_weight_matrix_then_every_bias(self):
         model = tiny_model([4, 3, 2], seed=6)
-        vec = model.flat_params()
-        other = tiny_model([4, 3, 2], seed=99)
-        other.set_flat_params(vec)
-        np.testing.assert_array_equal(other.flat_params(), vec)
-        with pytest.raises(ValueError):
-            model.set_flat_params(np.zeros(3))
+        expected = np.concatenate([w.ravel() for w in model.weights]
+                                  + [b.ravel() for b in model.biases])
+        np.testing.assert_array_equal(model.params, expected)
+        assert all(np.shares_memory(v, model.params) for v in model.weights + model.biases)
+        assert all(np.shares_memory(v, model.grads)
+                   for v in model.weight_grads + model.bias_grads)
+
+    def test_write_to_params_shows_in_weights_and_forward(self):
+        model = tiny_model([3, 2], seed=6)
+        x = np.array([[1.0, 2.0, 3.0]])
+        model.params[:] = 0.0
+        model.params[0] = 1.5  # weights[0][0, 0]: input 0 -> output 0
+        assert model.weights[0][0, 0] == 1.5
+        np.testing.assert_array_equal(model.forward(x)[0], [[1.5, 0.0]])
+
+    def test_backward_fills_grads(self):
+        model = tiny_model([4, 3, 2], seed=6)
+        logits, cache = model.forward(np.random.default_rng(1).uniform(size=(5, 4)))
+        _, _, dlogits = softmax_cross_entropy(logits, [0, 1, 0, 1, 1])
+        model.backward(cache, dlogits)
+        expected = np.concatenate([g.ravel() for g in model.weight_grads]
+                                  + [g.ravel() for g in model.bias_grads])
+        assert np.any(model.grads != 0.0)
+        np.testing.assert_array_equal(model.grads, expected)
+
+    @pytest.mark.parametrize("duplicate", [Mlp.copy, copy.deepcopy,
+                                           lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_shares_no_memory_with_the_original(self, duplicate):
+        model = tiny_model([4, 3, 2], seed=6)
+        dup = duplicate(model)
+        np.testing.assert_array_equal(dup.params, model.params)
+        mine = (model.params, model.grads)
+        for view in (dup.params, dup.grads, *dup.weights, *dup.biases,
+                     *dup.weight_grads, *dup.bias_grads):
+            assert not any(np.shares_memory(view, a) for a in mine)
+        dup.params[:] = 7.0
+        dup.weights[0][0, 0] = 8.0
+        assert not np.any(model.params == 7.0) and model.weights[0][0, 0] != 8.0
+        assert dup.params[0] == 8.0
+
+    def test_views_cannot_be_rebound(self):
+        model = tiny_model([4, 3, 2], seed=6)
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((4, 3))
+        with pytest.raises(TypeError):
+            model.bias_grads[1] = np.zeros(2)
 
 
 class TestFiniteDifferenceOracle:

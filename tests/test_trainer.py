@@ -8,7 +8,7 @@ import pytest
 from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.mlp import Mlp, softmax_cross_entropy
-from replay_lab.trainer import (TrainConfig, ablation_suite, er_train_step,
+from replay_lab.trainer import (TrainConfig, ablation_configs, ablation_suite, er_train_step,
                                 init_state, method_label, merge_tasks,
                                 run_class_il, run_joint_baseline,
                                 run_sgd_baseline, _train_one_task)
@@ -95,7 +95,7 @@ class TestErTrainStep:
 
         info = er_train_step(state, x, y, config)
         assert info.replay_loss == 0.0
-        np.testing.assert_array_equal(state.model.flat_params(), reference.flat_params())
+        np.testing.assert_array_equal(state.model.params, reference.params)
 
     def test_one_pass_step_matches_two_pass_reference(self, monkeypatch):
         stream = small_stream()
@@ -117,8 +117,8 @@ class TestErTrainStep:
             loss, per_item, dlogits = softmax_cross_entropy(logits, labels)
             ref.model.backward(cache, dlogits)
             losses.append((loss, per_item))
-            grads.append(ref.model.flat_grads())
-        expected = ref.model.flat_params() - config.lr0 * (grads[0] + grads[1])
+            grads.append(ref.model.grads.copy())
+        expected = ref.model.params - config.lr0 * (grads[0] + grads[1])
 
         rows = []
         forward = Mlp.forward
@@ -129,7 +129,7 @@ class TestErTrainStep:
         monkeypatch.setattr(Mlp, "forward", counting_forward)
         info = er_train_step(state, x, y, config)
         assert rows == [len(y) + config.replay_batch_size]
-        np.testing.assert_allclose(state.model.flat_params(), expected, rtol=1e-12)
+        np.testing.assert_allclose(state.model.params, expected, rtol=1e-12)
         assert info.stream_loss == pytest.approx(losses[0][0], rel=1e-12)
         assert info.replay_loss == pytest.approx(losses[1][0], rel=1e-12)
         np.testing.assert_allclose(info.per_item_losses, losses[0][1], rtol=1e-12)
@@ -258,8 +258,7 @@ class TestBaselines:
         config = small_config(brs=True)
         state_a, _ = run_training(stream, config)
         state_b, _ = run_training(stream, config)
-        np.testing.assert_array_equal(state_a.model.flat_params(),
-                                      state_b.model.flat_params())
+        np.testing.assert_array_equal(state_a.model.params, state_b.model.params)
 
     def test_report_internal_invariants(self):
         stream = small_stream()
@@ -291,8 +290,7 @@ class TestDataFlowIsolation:
         config = small_config(lars=True)
         state_a, _ = run_training(stream, config)
         state_b, _ = run_training(tampered, config)
-        np.testing.assert_array_equal(state_a.model.flat_params(),
-                                      state_b.model.flat_params())
+        np.testing.assert_array_equal(state_a.model.params, state_b.model.params)
         assert state_a.buffer.loss.tolist() == state_b.buffer.loss.tolist()
 
     def test_buffer_holds_raw_stream_features_with_iba(self):
@@ -375,7 +373,7 @@ class TestEvaluationErrors:
 class TestAblationSuite:
     def test_row_labels_and_length_without_stream_aug(self):
         stream = small_stream()
-        rows = ablation_suite(stream, small_config(), seeds=[0, 1])
+        rows = ablation_suite(stream, ablation_configs(small_config()), seeds=[0, 1])
         assert [r.label for r in rows] == ["er", "+bic", "+elrd", "+brs", "+lars"]
         assert all(len(r.reports) == 2 for r in rows)
 
@@ -383,20 +381,24 @@ class TestAblationSuite:
         stream = small_stream()
         base = small_config(aug_stream_enabled=True, aug_max_shift=1,
                             image_dims=(4, 2, 1))
-        rows = ablation_suite(stream, base, seeds=[0])
+        rows = ablation_suite(stream, ablation_configs(base), seeds=[0])
         assert [r.label for r in rows] == ["er", "+iba", "+bic", "+elrd", "+brs", "+lars"]
 
     def test_consecutive_rows_differ_in_exactly_one_trick_dimension(self):
         stream = small_stream()
-        rows = ablation_suite(stream, small_config(), seeds=[0])
+        rows = ablation_suite(stream, ablation_configs(small_config()), seeds=[0])
         for prev, nxt in zip(rows, rows[1:]):
             diff = sum(a != b for a, b in zip(trick_signature(prev.config),
                                               trick_signature(nxt.config)))
             assert diff == 1
 
+    def test_ring_base_rejects_the_brs_row(self):
+        with pytest.raises(ValueError, match="ring buffer cannot be combined with brs/lars"):
+            ablation_configs(small_config(base_strategy="ring"))
+
     def test_mean_and_std_summarize_reports(self):
         stream = small_stream()
-        rows = ablation_suite(stream, small_config(), seeds=[0, 1, 2])
+        rows = ablation_suite(stream, ablation_configs(small_config()), seeds=[0, 1, 2])
         for row in rows:
             accs = [rep.average_accuracy for rep in row.reports]
             assert row.mean_accuracy == pytest.approx(float(np.mean(accs)))
