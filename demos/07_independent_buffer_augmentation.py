@@ -22,7 +22,7 @@ rng = np.random.default_rng(0)
 image = rng.uniform(size=28 * 28)
 
 buf = ReplayBuffer(1, "reservoir", class_count=10)
-buf.update(image, label=3, loss=0.0, rng=rng)  # the buffer keeps a copy of the row
+buf.update(image[None], labels=[3], losses=[0.0], rng=rng)  # the buffer keeps a copy of the row
 policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
 
 seen = set()

@@ -354,7 +354,8 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
     """
     labels = np.repeat(np.arange(TOY_CLASS_COUNT), TOY_PER_CLASS)
     counts = {s: np.zeros((repetitions, TOY_CLASS_COUNT)) for s in TOY_STRATEGIES}
-    no_features = np.empty(0)
+    no_features = np.empty((labels.size, 0))
+    zero_losses = np.zeros(labels.size)
     for rep in range(repetitions):
         children = np.random.SeedSequence([seed, rep]).spawn(len(TOY_STRATEGIES) + 1)
         order = np.random.default_rng(children[0]).permutation(labels.size)
@@ -362,8 +363,7 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
         for strategy, child in zip(TOY_STRATEGIES, children[1:]):
             rng = np.random.default_rng(child)
             buf = ReplayBuffer(TOY_CAPACITY, strategy, TOY_CLASS_COUNT)
-            for label in stream:
-                buf.update(no_features, int(label), 0.0, rng)
+            buf.update(no_features, stream, zero_losses, rng)
             for cls, n in buf.class_counts().items():
                 counts[strategy][rep, cls] = n
     return counts

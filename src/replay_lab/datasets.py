@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,10 +143,14 @@ def to_idx_labels(labels: np.ndarray) -> bytes:
 
 def read_idx_file(path) -> bytes:
     """Read an IDX file, transparently gunzipping when the content starts
-    with the gzip prefix bytes."""
+    with the gzip prefix bytes. Damaged gzip data raises ``IdxFormatError``
+    naming the file."""
     blob = Path(path).read_bytes()
     if blob[:2] == _GZIP_PREFIX:
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: damaged gzip data: {exc}") from exc
     return blob
 
 
@@ -153,8 +158,9 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load the four standard Fashion-MNIST IDX files from ``data_dir``.
 
     Accepts either plain or .gz files. Images are flattened to 784-vectors.
-    Raises ``IdxFormatError``, naming the file, unless every image is 28x28,
-    every label is a class id below 10 and each split holds every class.
+    Raises ``IdxFormatError``, naming the file, when a file is not well-formed
+    (gzip) IDX, and unless every image is 28x28, every label is a class id
+    below 10 and each split holds every class.
     """
     data_dir = Path(data_dir)
 
@@ -164,16 +170,23 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
                 return candidate
         raise FileNotFoundError(f"missing {name}[.gz] in {data_dir}")
 
+    def parse(parser, path: Path) -> np.ndarray:
+        blob = read_idx_file(path)
+        try:
+            return parser(blob)
+        except IdxFormatError as exc:
+            raise IdxFormatError(f"{path}: {exc}") from None
+
     def load_split(images_name: str, labels_name: str) -> Dataset:
         images_path, labels_path = find(images_name), find(labels_name)
-        images = parse_idx_images(read_idx_file(images_path))
-        labels = parse_idx_labels(read_idx_file(labels_path))
+        images = parse(parse_idx_images, images_path)
+        labels = parse(parse_idx_labels, labels_path)
         if images.shape[1:] != FASHION_MNIST_IMAGE_DIMS[:2]:
             raise IdxFormatError(f"{images_path}: images are {images.shape[1]}x"
                                  f"{images.shape[2]}, expected 28x28")
         if images.shape[0] != labels.shape[0]:
-            raise IdxFormatError(
-                f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}")
+            raise IdxFormatError(f"{images_path} holds {images.shape[0]} images, "
+                                 f"{labels_path} {labels.shape[0]} labels")
         bad = np.flatnonzero(labels >= FASHION_MNIST_CLASSES)
         if bad.size:
             raise IdxFormatError(f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} "

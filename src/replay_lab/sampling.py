@@ -1,6 +1,9 @@
 """Fixed-capacity replay buffer with pluggable update strategies.
 
-The buffer is filled from a data stream one example at a time. Four update
+The buffer is offered a data stream in batches: ``ReplayBuffer.update``
+takes a batch of items in stream order and returns each item's slot, or -1
+for an item it did not admit. A batch ends in the same state, random
+generator included, as the same items offered one at a time. Four update
 strategies are supported:
 
 * ``reservoir``      -- classic reservoir sampling: every stream item ends up
@@ -13,8 +16,11 @@ strategies are supported:
 * ``ring``           -- class-wise FIFO segments of size capacity // classes.
 
 Stored items are copies of the offered raw rows, kept in preallocated
-arrays. All randomness flows through an injected ``numpy.random.Generator``;
-a buffer is owned by a single training run and mutated sequentially.
+arrays. All randomness flows through an injected ``numpy.random.Generator``:
+``reservoir`` makes all of a batch's admission draws in one call, while
+``brs`` and ``lars`` draw each item's admission and victim in turn, since
+both share the generator. A buffer is owned by a single training run and
+mutated sequentially.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class ReplayBuffer:
         self.labels = np.full(capacity, -1, dtype=np.int64)
         self.loss = np.zeros(capacity)
         self._segment = capacity // class_count
-        self._ring_next = [0] * class_count
+        self._ring_next = np.zeros(class_count, dtype=np.int64)
 
     # -- inspection ---------------------------------------------------------
 
@@ -124,41 +130,95 @@ class ReplayBuffer:
 
     # -- updates ------------------------------------------------------------
 
-    def update(self, features, label: int, loss: float,
-               rng: np.random.Generator) -> None:
-        """Offer one stream item to the buffer under the configured strategy.
+    def update(self, features, labels, losses, rng: np.random.Generator) -> np.ndarray:
+        """Offer a batch of stream items, in stream order, to the buffer.
 
-        An admitted item is copied into its slot. Always increments
-        ``seen_count`` by exactly 1. Afterwards, ``last_insert_slot`` holds
-        the slot the item went into, or None when it was not admitted.
-        Labels outside ``[0, class_count)`` and losses that are negative,
-        NaN or infinite are rejected.
+        ``features`` holds one row per item; ``labels`` and ``losses`` one
+        value each. Returns each item's slot, or -1 for an item that was not
+        admitted; an admitted row is copied into its slot. When two items of
+        a batch take the same slot, the later one is what stays. The
+        outcome, generator state included, is that of offering the items
+        one at a time. ``seen_count`` grows by the batch size.
+
+        The whole batch is validated before anything is written: labels
+        must be integers in ``[0, class_count)``, losses must be finite and
+        >= 0, and there must be one feature row per label, shaped like the
+        stored rows. ``last_insert_slot`` is the slot of the batch's last
+        item, or None; it is kept for the benchmark's tracer.
         """
-        if not 0 <= label < self.class_count:
-            raise ValueError(f"label {label} out of range for class_count {self.class_count}")
-        _check_loss(loss)
-        self.last_insert_slot = None
-        if self.capacity > 0:
-            slot = self._ring_slot(label) if self.strategy == RING else self._reservoir_slot(rng)
-            if slot is not None:
-                if self.features is None:
-                    row = np.asarray(features)
-                    self.features = np.empty((self.capacity, *row.shape), dtype=row.dtype)
-                self.features[slot] = features
-                self.labels[slot] = label
-                self.loss[slot] = loss
-                self.last_insert_slot = slot
-        self.seen_count += 1
+        features = np.asarray(features)
+        labels = np.asarray(labels)
+        losses = np.asarray(losses, dtype=float)
+        n = labels.size
+        if labels.ndim != 1 or losses.shape != labels.shape:
+            raise ValueError(f"labels {labels.shape} and losses {losses.shape} "
+                             "must hold one value per item")
+        if len(features) != n:
+            raise ValueError(f"{len(features)} feature rows for {n} labels")
+        if self.features is not None and features.shape[1:] != self.features.shape[1:]:
+            raise ValueError(f"feature rows of shape {features.shape[1:]}, "
+                             f"stored rows are {self.features.shape[1:]}")
+        if n:
+            if labels.dtype.kind not in "iu":
+                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+            labels = labels.astype(np.int64, copy=False)
+            if labels.min() < 0 or labels.max() >= self.class_count:
+                bad = labels[(labels < 0) | (labels >= self.class_count)][0]
+                raise ValueError(f"label {bad} out of range for class_count "
+                                 f"{self.class_count}")
+            _check_losses(losses)
 
-    def _reservoir_slot(self, rng: np.random.Generator) -> int | None:
-        if self.seen_count < self.capacity:
-            return self.seen_count
-        # Uniform over {0..seen_count} inclusive: seen_count+1 outcomes, so
-        # P(draw < capacity) = capacity / (seen_count + 1), the admission
-        # probability shared by all reservoir-family strategies.
-        j = int(rng.integers(0, self.seen_count + 1))
-        if j >= self.capacity:
-            return None
+        slots = np.full(n, -1, dtype=np.int64)
+        if self.capacity > 0 and n:
+            if self.strategy == RING:
+                self._ring_slots(labels, slots)
+            else:
+                self._reservoir_slots(labels, losses, slots, rng)
+            admitted = (slots >= 0).nonzero()[0]
+            if admitted.size:
+                if self.features is None:
+                    self.features = np.empty((self.capacity, *features.shape[1:]),
+                                             dtype=features.dtype)
+                # of the items that take one slot, the last one stays
+                last = dict(zip(slots[admitted].tolist(), admitted.tolist()))
+                to, src = list(last), list(last.values())
+                self.features[to] = features[src]
+                self.labels[to] = labels[src]
+                self.loss[to] = losses[src]
+        self.seen_count += n
+        self.last_insert_slot = int(slots[-1]) if n and slots[-1] >= 0 else None
+        return slots
+
+    def _reservoir_slots(self, labels, losses, slots, rng: np.random.Generator) -> None:
+        seen, n = self.seen_count, labels.size
+        fill = min(max(self.capacity - seen, 0), n)
+        slots[:fill] = np.arange(seen, seen + fill)
+        if fill == n:
+            return
+        if self.strategy == RESERVOIR:
+            # Item i of the batch draws uniformly from {0..seen + i}: one
+            # more outcome than items before it, so it is admitted with
+            # probability capacity / (seen + i + 1), the admission rule
+            # shared by all reservoir-family strategies. One call with an
+            # array of bounds makes the same draws as one call per item.
+            draws = rng.integers(0, np.arange(seen + fill + 1, seen + n + 1))
+            hit = (draws < self.capacity).nonzero()[0]
+            slots[fill + hit] = draws[hit]
+            return
+        # BRS and LARS pick each victim from the buffer as the items before
+        # it left it, drawing from the same generator as the admissions.
+        self.labels[seen:seen + fill] = labels[:fill]
+        self.loss[seen:seen + fill] = losses[:fill]
+        integers, capacity = rng.integers, self.capacity
+        for i in range(fill, n):
+            if integers(0, seen + i + 1) >= capacity:
+                continue
+            slot = self._victim_slot(rng)
+            self.labels[slot] = labels[i]
+            self.loss[slot] = losses[i]
+            slots[i] = slot
+
+    def _victim_slot(self, rng: np.random.Generator) -> int:
         if self.strategy == BALANCED_RESERVOIR:
             # The incoming item is not in the buffer yet, so it contributes
             # nothing to the class counts used for victim selection.
@@ -167,16 +227,18 @@ class ReplayBuffer:
             cls = tied[int(rng.integers(0, tied.size))]
             members = np.flatnonzero(self.labels == cls)
             return int(members[int(rng.integers(0, members.size))])
-        if self.strategy == LOSS_AWARE_RESERVOIR:
-            return int(rng.choice(self.capacity, p=lars_scores(self).probs))
-        return j
+        return int(rng.choice(self.capacity, p=lars_scores(self).probs))
 
-    def _ring_slot(self, label: int) -> int | None:
+    def _ring_slots(self, labels, slots) -> None:
         if self._segment == 0:
-            return None
-        slot = label * self._segment + self._ring_next[label] % self._segment
-        self._ring_next[label] += 1
-        return slot
+            return
+        # each item's position among the batch's items of its class
+        counts = np.bincount(labels, minlength=self.class_count)
+        order = np.argsort(labels, kind="stable")
+        rank = np.empty_like(labels)
+        rank[order] = np.arange(labels.size) - (np.cumsum(counts) - counts)[labels[order]]
+        slots[:] = labels * self._segment + (self._ring_next[labels] + rank) % self._segment
+        self._ring_next += counts
 
     # -- replay -------------------------------------------------------------
 
@@ -210,18 +272,17 @@ class ReplayBuffer:
         unfilled = ~np.isin(indices, self.filled_ids())
         if unfilled.any():
             raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
-        if losses.size:
-            # the minimum is NaN or negative if any loss is; the maximum is inf
-            _check_loss(float(losses.min()))
-            _check_loss(float(losses.max()))
+        _check_losses(losses)
         self.loss[indices.astype(np.int64)] = losses
 
 
-def _check_loss(loss: float) -> None:
+def _check_losses(losses: np.ndarray) -> None:
     # A NaN or infinite stored loss makes the LARS scores NaN, which turns
-    # eviction silently uniform.
-    if not 0.0 <= loss < math.inf:
-        raise ValueError(f"loss scores must be finite and >= 0, got {loss}")
+    # eviction silently uniform. The minimum is NaN or negative if any loss
+    # is, and the maximum is inf if any loss is.
+    if losses.size and not (losses.min() >= 0.0 and losses.max() < math.inf):
+        bad = losses[~((losses >= 0.0) & (losses < math.inf))][0]
+        raise ValueError(f"loss scores must be finite and >= 0, got {bad}")
 
 
 def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:

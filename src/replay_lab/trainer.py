@@ -209,9 +209,7 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
         state.buffer.refresh_loss_scores(replay_ids, replay_per_item)
 
     store_feats = train_feats if (config.aug_stream_enabled and not config.iba) else features
-    for i in range(n):
-        state.buffer.update(store_feats[i], int(labels[i]), float(stream_per_item[i]),
-                            rngs.buffer)
+    state.buffer.update(store_feats, labels, stream_per_item, rngs.buffer)
     state.examples_seen += n
     state.task_step += 1
 

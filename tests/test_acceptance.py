@@ -79,14 +79,15 @@ def test_criterion_02_omission_probability_closed_form_and_monte_carlo():
 
 def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
     n_items, capacity, runs = 1000, 50, 2000
-    feat = np.empty(0)
+    feats = np.empty((n_items, 0))
+    positions = np.arange(n_items)
 
     hits = np.zeros(n_items)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence([101, run]))
         buf = ReplayBuffer(capacity, "reservoir", class_count=1)
-        for i in range(n_items):
-            buf.update(feat, 0, float(i), rng)
+        # each item's loss is its stream position
+        buf.update(feats, np.zeros(n_items, dtype=np.int64), positions.astype(float), rng)
         for loss in buf.loss:
             hits[int(loss)] += 1
     freq = hits / runs
@@ -96,7 +97,6 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
     assert frac_ok >= 0.99, f"only {frac_ok:.4f} of items within 3 sd"
 
     admission_ok = {}
-    positions = np.arange(n_items)
     p_admit = np.minimum(1.0, capacity / (positions + 1.0))
     sd_admit = np.sqrt(p_admit * (1 - p_admit) / runs)
     for strategy in ("brs", "lars"):
@@ -104,9 +104,8 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
         for run in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence([103, run]))
             buf = ReplayBuffer(capacity, strategy, class_count=10)
-            for i in range(n_items):
-                buf.update(feat, i % 10, 0.5, rng)
-                admitted[i] += buf.last_insert_slot is not None
+            slots = buf.update(feats, positions % 10, np.full(n_items, 0.5), rng)
+            admitted += slots >= 0
         ok = np.abs(admitted / runs - p_admit) <= 3 * sd_admit + 1e-12
         admission_ok[strategy] = float(ok.mean())
         assert admission_ok[strategy] >= 0.99, (strategy, admission_ok[strategy])
@@ -257,7 +256,7 @@ def test_criterion_08_iba_contract():
     # two draws of one slot under max_shift=2 differ almost always
     buf = ReplayBuffer(1, "reservoir", class_count=1)
     rng = np.random.default_rng(1)
-    buf.update(rng.uniform(size=784), 0, 0.0, rng)
+    buf.update(rng.uniform(size=(1, 784)), [0], [0.0], rng)
     policy = AugPolicy(image_dims=(28, 28, 1), max_shift=2, hflip_prob=0.0)
     differ = 0
     trials = 1000
@@ -293,8 +292,7 @@ def _brute_force_lars_probs(labels, losses):
 def test_criterion_09_lars_score_oracle():
     buf = ReplayBuffer(4, "lars", class_count=2)
     rng = np.random.default_rng(0)
-    for label, loss in [(0, 1.0), (0, 3.0), (0, 1.0), (1, 1.0)]:
-        buf.update(np.empty(0), label, loss, rng)
+    buf.update(np.empty((4, 0)), [0, 0, 0, 1], [1.0, 3.0, 1.0, 1.0], rng)
     probs = lars_scores(buf).probs
     np.testing.assert_allclose(probs, [5 / 12, 0.0, 5 / 12, 1 / 6], atol=1e-15)
 
@@ -311,8 +309,7 @@ def test_criterion_09_lars_score_oracle():
         else:
             losses = [1.5] * n
         buf = ReplayBuffer(n, "lars", class_count=5)
-        for lab, loss in zip(labels, losses):
-            buf.update(np.empty(0), int(lab), float(loss), rng)
+        buf.update(np.empty((n, 0)), labels, losses, rng)
         expected = _brute_force_lars_probs(labels, losses)
         np.testing.assert_allclose(lars_scores(buf).probs, expected, atol=1e-12)
     print("criterion 9 PASS: hand-computed 4-item probabilities exact; "

@@ -73,8 +73,7 @@ class TestAugment:
 def filled_buffer(n_slots, dim, seed=0):
     buf = ReplayBuffer(n_slots, "reservoir", class_count=3)
     rng = np.random.default_rng(seed)
-    for i in range(n_slots):
-        buf.update(rng.uniform(size=dim), i % 3, 0.0, rng)
+    buf.update(rng.uniform(size=(n_slots, dim)), np.arange(n_slots) % 3, np.zeros(n_slots), rng)
     return buf
 
 

@@ -19,7 +19,7 @@ def test_tracer_installs_on_every_traced_name_and_counts_an_offer(monkeypatch):
     tr = tracing.install(cli)
     try:
         buf = ReplayBuffer(4, "reservoir", class_count=2)
-        buf.update(np.zeros(3), 1, 0.0, np.random.default_rng(0))
+        buf.update(np.zeros((1, 3)), [1], [0.0], np.random.default_rng(0))
         _, counts, _ = tr.take()
         assert counts == {"sampling.offers": 1, "sampling.admitted": 1}
     finally:

@@ -17,9 +17,8 @@ def sigmoid(x):
 
 def buffer_of(features, labels):
     buf = ReplayBuffer(len(labels), "reservoir", class_count=max(labels) + 1)
-    rng = np.random.default_rng(0)
-    for f, y in zip(features, labels):
-        buf.update(np.asarray(f, dtype=float), int(y), 0.0, rng)
+    buf.update(np.asarray(features, dtype=float), labels, np.zeros(len(labels)),
+               np.random.default_rng(0))
     return buf
 
 

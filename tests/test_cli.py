@@ -1,5 +1,6 @@
 """Tests for the command-line surface: config parsing, outputs, exit codes."""
 
+import gzip
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -308,6 +309,17 @@ class TestFashionMnistPath:
         assert config["iba"] is True
 
 
+def _truncated_gzip(blob: bytes) -> bytes:
+    packed = gzip.compress(blob, mtime=0)
+    return packed[:len(packed) // 2]
+
+
+def _zero_crc_gzip(blob: bytes) -> bytes:
+    # a gzip stream ends with the CRC-32 of its content, then its length
+    packed = gzip.compress(blob, mtime=0)
+    return packed[:-8] + bytes(4) + packed[-4:]
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -354,15 +366,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
 
     # case -> (image side, train labels, test labels, expected message) of the
-    # four IDX files; "garbage" then overwrites the train images with non-IDX bytes
+    # four IDX files; a case in DAMAGED_FILE then replaces one of them
     CORRUPT_DATA = {
-        "garbage": (28, np.arange(20) % 10, np.arange(10), "bad magic"),
+        "garbage": (28, np.arange(20) % 10, np.arange(10),
+                    "train-images-idx3-ubyte: bad magic"),
+        "truncated gzip": (28, np.arange(20) % 10, np.arange(10),
+                           "train-labels-idx1-ubyte.gz: damaged gzip data"),
+        "gzip checksum": (28, np.arange(20) % 10, np.arange(10),
+                          "t10k-images-idx3-ubyte.gz: damaged gzip data"),
         "8x8 images": (8, np.arange(20) % 10, np.arange(10),
                        "train-images-idx3-ubyte: images are 8x8, expected 28x28"),
         "labels 10 and 11": (28, np.arange(22) % 12, np.arange(10),
                              "train-labels-idx1-ubyte: label 10 at offset 18"),
         "no class 9 in the test split": (28, np.arange(20) % 10, np.arange(10) % 9,
                                          "t10k-labels-idx1-ubyte: no item of class 9"),
+    }
+
+    # case -> (file, function from its IDX bytes to the bytes of its damaged
+    # ``.gz`` or plain replacement)
+    DAMAGED_FILE = {
+        "garbage": ("train-images-idx3-ubyte", lambda blob: b"garbage"),
+        "truncated gzip": ("train-labels-idx1-ubyte.gz", _truncated_gzip),
+        "gzip checksum": ("t10k-images-idx3-ubyte.gz", _zero_crc_gzip),
     }
 
     @pytest.mark.parametrize("case", CORRUPT_DATA)
@@ -374,8 +399,12 @@ class TestExitCodes:
             images = np.zeros((len(labels), side, side))
             (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(to_idx_images(images))
             (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(to_idx_labels(labels))
-        if case == "garbage":
-            (data_dir / "train-images-idx3-ubyte").write_bytes(b"garbage")
+        if case in self.DAMAGED_FILE:
+            name, damage = self.DAMAGED_FILE[case]
+            plain = data_dir / name.removesuffix(".gz")
+            blob = plain.read_bytes()
+            plain.unlink()
+            (data_dir / name).write_bytes(damage(blob))
         monkeypatch.setenv("REPLAYLAB_DATA", str(data_dir))
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",

@@ -94,9 +94,8 @@ class TestTaskPredictionDistribution:
 class TestBufferBalanceMse:
     def fill(self, labels, class_count):
         buf = ReplayBuffer(len(labels), "reservoir", class_count=class_count)
-        rng = np.random.default_rng(0)
-        for lab in labels:
-            buf.update(np.empty(0), lab, 0.0, rng)
+        buf.update(np.empty((len(labels), 0)), labels, np.zeros(len(labels)),
+                   np.random.default_rng(0))
         return buf
 
     def test_perfect_balance_is_zero(self):

@@ -13,7 +13,8 @@ CLASS_COUNT = 20
 
 
 def offer(buf, label, rng, loss=0.0, features=NO_FEATURES):
-    buf.update(features, label, loss, rng)
+    """Offer one item; return its slot, or -1 when it was not admitted."""
+    return int(buf.update(np.asarray(features)[None], [label], [loss], rng)[0])
 
 
 def assert_buffer_invariants(buf):
@@ -36,19 +37,17 @@ def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_coun
     buf = ReplayBuffer(capacity, strategy, class_count=class_count)
     rng = np.random.default_rng(seed)
     losses = losses if losses is not None else [0.0] * len(labels)
-    for lab, loss in zip(labels, losses):
-        offer(buf, lab, rng, loss)
+    buf.update(np.empty((len(labels), 0)), labels, losses, rng)
     return buf
 
 
 class TestFillPhase:
     def test_first_item_lands_in_slot_zero(self):
         buf = ReplayBuffer(12, RESERVOIR, class_count=4)
-        offer(buf, 3, np.random.default_rng(0))
+        assert offer(buf, 3, np.random.default_rng(0)) == 0
         assert buf.seen_count == 1
         assert buf.n_filled == 1
         assert buf.labels[0] == 3
-        assert buf.last_insert_slot == 0
 
     @pytest.mark.parametrize("strategy", [RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
     def test_fill_is_contiguous_append(self, strategy):
@@ -92,10 +91,172 @@ class TestFillPhase:
         assert buf.labels[3] == -1
 
     def test_capacity_zero_is_a_no_op_store(self):
-        buf = fill_buffer(RESERVOIR, labels=[0, 1, 2], capacity=0)
+        buf = ReplayBuffer(0, RESERVOIR, class_count=CLASS_COUNT)
+        slots = buf.update(np.empty((3, 0)), [0, 1, 2], [0.0] * 3, np.random.default_rng(0))
+        assert slots.tolist() == [-1, -1, -1]
         assert buf.seen_count == 3
         assert buf.n_filled == 0
-        assert buf.last_insert_slot is None
+
+
+def seeded_stream(n, class_count, seed=0):
+    data = np.random.default_rng(1000 + seed)
+    return (data.uniform(size=(n, 3)), data.integers(0, class_count, size=n),
+            data.uniform(0.0, 3.0, size=n))
+
+
+def offer_in_batches(strategy, capacity, class_count, sizes, seed=0):
+    """Offer one seeded stream of ``sum(sizes)`` items in batches of the
+    given sizes; return the buffer, its generator and every item's slot."""
+    features, labels, losses = seeded_stream(sum(sizes), class_count, seed)
+    buf = ReplayBuffer(capacity, strategy, class_count=class_count)
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum([0, *sizes])
+    slots = [buf.update(features[a:b], labels[a:b], losses[a:b], rng)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    return buf, rng, np.concatenate(slots)
+
+
+def offer_by_reference(strategy, capacity, class_count, n, seed=0):
+    """The per-item rule, one scalar draw at a time, written into a buffer's
+    arrays by hand: the reference that batched offers must reproduce."""
+    features, labels, losses = seeded_stream(n, class_count, seed)
+    buf = ReplayBuffer(capacity, strategy, class_count=class_count)
+    buf.features = np.empty((capacity, 3))
+    rng = np.random.default_rng(seed)
+    segment, ring_next = capacity // class_count, [0] * class_count
+    slots = np.full(n, -1)
+    for seen in range(n):
+        y = labels[seen]
+        if capacity == 0 or (strategy == RING and segment == 0):
+            continue
+        if strategy == RING:
+            slots[seen] = y * segment + ring_next[y] % segment
+            ring_next[y] += 1
+        elif seen < capacity:
+            slots[seen] = seen
+        elif (j := int(rng.integers(0, seen + 1))) < capacity:
+            if strategy == RESERVOIR:
+                slots[seen] = j
+            elif strategy == BALANCED_RESERVOIR:
+                counts = np.bincount(buf.labels[buf.labels >= 0])
+                tied = np.flatnonzero(counts == counts.max())
+                members = np.flatnonzero(buf.labels == tied[int(rng.integers(0, tied.size))])
+                slots[seen] = members[int(rng.integers(0, members.size))]
+            else:
+                slots[seen] = rng.choice(capacity, p=lars_scores(buf).probs)
+        if slots[seen] >= 0:
+            slot = slots[seen]
+            buf.features[slot], buf.labels[slot], buf.loss[slot] = \
+                features[seen], y, losses[seen]
+    buf.seen_count = n
+    return buf, rng, slots
+
+
+class TestBatchedUpdate:
+    """A batch must leave exactly what offering its items one at a time
+    leaves, and what the per-item reference leaves: the same slots, stored
+    items, count and generator state."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("capacity, class_count, sizes", [
+        (8, 3, [5, 7, 1, 30, 17]),   # the second batch straddles the end of the fill
+        (3, 4, [40, 25]),            # most items of a batch are not admitted
+        (0, 3, [4, 9]),              # no-rehearsal buffer
+        (2, 5, [6, 10]),             # ring: fewer slots than classes, no segment
+        (6, 2, [1, 1, 1, 1, 1, 1, 1, 1]),   # batches of one
+    ])
+    def test_batches_match_one_item_at_a_time(self, strategy, capacity, class_count, sizes):
+        for seed in range(5):
+            batched, b_rng, b_slots = offer_in_batches(strategy, capacity, class_count,
+                                                       sizes, seed)
+            assert_buffer_invariants(batched)
+            filled = batched.filled_ids()
+            for other in (offer_in_batches(strategy, capacity, class_count,
+                                           [1] * sum(sizes), seed),
+                          offer_by_reference(strategy, capacity, class_count,
+                                             sum(sizes), seed)):
+                buf, rng, slots = other
+                np.testing.assert_array_equal(b_slots, slots)
+                np.testing.assert_array_equal(batched.labels, buf.labels)
+                np.testing.assert_array_equal(batched.loss, buf.loss)
+                if filled.size:
+                    np.testing.assert_array_equal(batched.features[filled],
+                                                  buf.features[filled])
+                assert batched.seen_count == buf.seen_count == sum(sizes)
+                assert b_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_capacity_zero_draws_nothing(self):
+        for strategy in STRATEGIES:
+            _, rng, slots = offer_in_batches(strategy, 0, 3, [7])
+            assert slots.tolist() == [-1] * 7
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("strategy", [RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
+    def test_later_item_wins_a_slot_taken_twice(self, strategy):
+        # 2 slots and 60 items in one batch: admitted items share slots
+        buf, _, slots = offer_in_batches(strategy, 2, 3, [60])
+        features, labels, losses = seeded_stream(60, 3)
+        admitted = slots[slots >= 0]
+        assert admitted.size > len(set(admitted.tolist()))
+        for slot in (0, 1):
+            last = np.flatnonzero(slots == slot)[-1]
+            assert buf.labels[slot] == labels[last]
+            assert buf.loss[slot] == losses[last]
+            np.testing.assert_array_equal(buf.features[slot], features[last])
+
+    def test_last_insert_slot_is_that_of_the_last_item(self):
+        buf = ReplayBuffer(2, RESERVOIR, class_count=1)
+        rng = np.random.default_rng(0)
+        slots = buf.update(np.empty((3, 0)), [0, 0, 0], [0.0] * 3, rng)
+        assert buf.last_insert_slot == (slots[-1] if slots[-1] >= 0 else None)
+        buf.update(np.empty((0, 0)), [], [], rng)
+        assert buf.last_insert_slot is None and buf.seen_count == 3
+
+    def test_ring_keeps_the_newest_items_of_each_class(self):
+        buf = ReplayBuffer(6, RING, class_count=3)
+        labels = [0, 1, 0, 0, 2, 0, 1]
+        slots = buf.update(np.arange(7.0)[:, None], labels, [0.0] * 7,
+                           np.random.default_rng(0))
+        # segments of 2: class 0 wraps twice, class 2's second slot stays empty
+        assert slots.tolist() == [0, 2, 1, 0, 4, 1, 3]
+        assert buf.features[:5, 0].tolist() == [3.0, 5.0, 1.0, 6.0, 4.0]
+        assert buf.labels.tolist() == [0, 0, 1, 1, 2, -1]
+
+
+class TestBatchValidation:
+    """A bad item anywhere in a batch raises and writes nothing, not even
+    the items before it."""
+
+    BAD = {
+        "label at class_count": dict(labels=[0, 1, 2, 0, 1, 3]),
+        "negative label": dict(labels=[0, 1, 2, 0, 1, -1]),
+        "float labels": dict(labels=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+        "NaN loss": dict(losses=[0.5] * 5 + [float("nan")]),
+        "negative loss": dict(losses=[0.5] * 5 + [-0.1]),
+        "infinite loss": dict(losses=[0.5] * 5 + [float("inf")]),
+        "one row short": dict(features=np.ones((5, 2))),
+        "rows of another shape": dict(features=np.ones((6, 3))),
+        "losses of another length": dict(losses=[0.5] * 5),
+    }
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_bad_batch_leaves_buffer_and_generator_untouched(self, strategy, case):
+        buf = ReplayBuffer(4, strategy, class_count=3)
+        rng = np.random.default_rng(0)
+        buf.update(np.zeros((3, 2)), [0, 1, 2], [1.0, 1.0, 1.0], rng)
+        batch = dict(features=np.ones((6, 2)), labels=[0, 1, 2, 0, 1, 2],
+                     losses=[0.5] * 6)
+        batch.update(self.BAD[case])
+        before = (buf.features.copy(), buf.labels.copy(), buf.loss.copy(),
+                  buf.seen_count, buf.last_insert_slot, rng.bit_generator.state)
+        with pytest.raises(ValueError):
+            buf.update(batch["features"], batch["labels"], batch["losses"], rng)
+        np.testing.assert_array_equal(buf.features, before[0])
+        np.testing.assert_array_equal(buf.labels, before[1])
+        np.testing.assert_array_equal(buf.loss, before[2])
+        assert (buf.seen_count, buf.last_insert_slot) == before[3:5]
+        assert rng.bit_generator.state == before[5]
 
 
 class TestReservoir:
@@ -107,8 +268,8 @@ class TestReservoir:
         for run in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence([42, run]))
             buf = ReplayBuffer(capacity, RESERVOIR, class_count=1)
-            for i in range(n_items):
-                offer(buf, 0, rng, loss=float(i))
+            buf.update(np.empty((n_items, 0)), np.zeros(n_items, dtype=np.int64),
+                       np.arange(n_items, dtype=float), rng)
             assert_buffer_invariants(buf)
             for loss in buf.loss:
                 hits[int(loss)] += 1
@@ -126,9 +287,8 @@ class TestReservoir:
             for run in range(runs):
                 rng = np.random.default_rng(np.random.SeedSequence([7, run]))
                 buf = ReplayBuffer(capacity, strategy, class_count=4)
-                for i in range(n_items):
-                    offer(buf, i % 4, rng, loss=0.1)
-                    admitted[i] += buf.last_insert_slot is not None
+                admitted += buf.update(np.empty((n_items, 0)), np.arange(n_items) % 4,
+                                       np.full(n_items, 0.1), rng) >= 0
                 assert_buffer_invariants(buf)
             freq = admitted / runs
             p = np.minimum(1.0, capacity / (np.arange(n_items) + 1.0))
@@ -144,9 +304,9 @@ class TestBalancedReservoir:
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1], capacity=3, seed=seed)
             rng = np.random.default_rng(seed)
             before = (buf.labels[2], buf.loss[2], buf.features[2].copy())
-            offer(buf, 2, rng)
-            if buf.last_insert_slot is not None:
-                assert buf.last_insert_slot in (0, 1)
+            slot = offer(buf, 2, rng)
+            if slot >= 0:
+                assert slot in (0, 1)
                 assert buf.labels[2] == before[0] and buf.loss[2] == before[1]
                 np.testing.assert_array_equal(buf.features[2], before[2])
 
@@ -154,12 +314,12 @@ class TestBalancedReservoir:
         for seed in range(50):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 0, 1, 2, 2], capacity=6, seed=seed)
             rng = np.random.default_rng(1000 + seed)
-            offer(buf, 3, rng)
+            slot = offer(buf, 3, rng)
             assert_buffer_invariants(buf)
-            if buf.last_insert_slot is not None:
+            if slot >= 0:
                 # class 1 (count 1) and class 2 (count 2) are both below the
                 # max count 3, so only class-0 slots are eligible
-                assert buf.last_insert_slot in (0, 1, 2)
+                assert slot in (0, 1, 2)
 
     def test_incoming_item_class_does_not_count(self):
         # Buffer [A, B] with incoming B: if the incoming label were counted,
@@ -168,18 +328,18 @@ class TestBalancedReservoir:
         victims = set()
         for seed in range(300):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 1], capacity=2, seed=seed)
-            offer(buf, 1, np.random.default_rng(seed))
-            if buf.last_insert_slot is not None:
-                victims.add(buf.last_insert_slot)
+            slot = offer(buf, 1, np.random.default_rng(seed))
+            if slot >= 0:
+                victims.add(slot)
         assert victims == {0, 1}
 
     def test_tied_classes_both_evictable(self):
         overwritten = set()
         for seed in range(300):
             buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1, 1], capacity=4, seed=seed)
-            offer(buf, 2, np.random.default_rng(seed))
-            if buf.last_insert_slot is not None:
-                overwritten.add(buf.last_insert_slot)
+            slot = offer(buf, 2, np.random.default_rng(seed))
+            if slot >= 0:
+                overwritten.add(slot)
         assert overwritten == {0, 1, 2, 3}
 
     def test_victim_class_always_among_argmax_counts(self):
@@ -193,10 +353,9 @@ class TestBalancedReservoir:
             counts = buf.class_counts()
             max_count = max(counts.values())
             before = buf.labels.copy()
-            offer(buf, 9, np.random.default_rng(int(rng.integers(1 << 30))))
+            slot = offer(buf, 9, np.random.default_rng(int(rng.integers(1 << 30))))
             assert_buffer_invariants(buf)
-            slot = buf.last_insert_slot
-            if slot is not None:
+            if slot >= 0:
                 assert counts[before[slot]] == max_count
 
 
@@ -260,10 +419,10 @@ class TestLarsUpdate:
         for seed in range(10_000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 0, 0, 1],
                               losses=[1.0, 3.0, 1.0, 1.0])
-            offer(buf, 2, np.random.default_rng(seed), loss=0.5)
+            slot = offer(buf, 2, np.random.default_rng(seed), loss=0.5)
             assert_buffer_invariants(buf)
-            if buf.last_insert_slot is not None:
-                hits[buf.last_insert_slot] += 1
+            if slot >= 0:
+                hits[slot] += 1
         assert hits[1] == 0
         assert hits[0] > 0 and hits[2] > 0 and hits[3] > 0
 
@@ -274,9 +433,9 @@ class TestLarsUpdate:
         for seed in range(8000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1, 2, 3],
                               losses=[1.0, 1.0, 1.0, 1.0])
-            offer(buf, 0, np.random.default_rng(seed), loss=0.2)
-            if buf.last_insert_slot is not None:
-                hits[buf.last_insert_slot] += 1
+            slot = offer(buf, 0, np.random.default_rng(seed), loss=0.2)
+            if slot >= 0:
+                hits[slot] += 1
                 admitted += 1
         freq = hits / admitted
         sd = np.sqrt(0.25 * 0.75 / admitted)
@@ -290,10 +449,10 @@ class TestLarsUpdate:
         admitted = 0
         for seed in range(12_000):
             buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=labels, losses=losses)
-            offer(buf, 3, np.random.default_rng(seed), loss=0.5)
+            slot = offer(buf, 3, np.random.default_rng(seed), loss=0.5)
             assert_buffer_invariants(buf)
-            if buf.last_insert_slot is not None:
-                hits[buf.last_insert_slot] += 1
+            if slot >= 0:
+                hits[slot] += 1
                 admitted += 1
         freq = hits / admitted
         sd = np.sqrt(reference * (1 - reference) / admitted)
