@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .datasets import TaskStream
-from .mlp import Mlp, softmax
+from .mlp import softmax
 from .sampling import ReplayBuffer
 
 
@@ -17,8 +17,10 @@ from .sampling import ReplayBuffer
 class RunReport:
     """Everything a finished run reports, config echo and seed included.
 
-    ``task_pred_distribution_raw`` is measured before any bias correction,
-    the unsuffixed field after (they coincide when no correction is fitted).
+    Accuracies and distributions come from one forward per task test set.
+    ``task_pred_distribution_raw`` is measured on those raw logits, the
+    accuracies and the unsuffixed field on the bias-corrected ones (the same
+    logits when no correction is fitted).
     """
 
     method: str
@@ -42,42 +44,31 @@ class RunReport:
         return out
 
 
-def _corrected_logits(model: Mlp, correction, features: np.ndarray) -> np.ndarray:
-    logits, _ = model.forward(features)
-    return logits if correction is None else correction.apply(logits)
-
-
-def average_final_accuracy(model: Mlp, correction,
+def average_final_accuracy(logits: list[np.ndarray],
                            task_stream: TaskStream) -> tuple[list[float], float]:
-    """Single-head accuracy per task test set, plus the unweighted mean.
+    """Single-head accuracy per task test set from that set's logits (one
+    array per task, in stream order), plus the unweighted mean.
 
     Predictions argmax over all protocol classes; ties break toward the
     lowest class id.
     """
-    accs = []
-    for task in task_stream.tasks:
-        if task.test_features.shape[0] == 0:
-            raise ValueError(f"task {task.class_ids} has an empty test set")
-        logits = _corrected_logits(model, correction, task.test_features)
-        preds = np.argmax(logits, axis=1)
-        accs.append(float(np.mean(preds == task.test_labels)))
+    accs = [float(np.mean(np.argmax(z, axis=1) == task.test_labels))
+            for z, task in zip(logits, task_stream.tasks)]
     return accs, float(np.mean(accs))
 
 
-def task_prediction_distribution(model: Mlp, correction,
+def task_prediction_distribution(logits: list[np.ndarray],
                                  task_stream: TaskStream) -> np.ndarray:
     """How much softmax mass the model assigns to each task's classes.
 
-    Pools every test example, sums class probabilities within each task per
-    example, averages over the pool, and renormalizes to a distribution.
+    Pools every test example of the per-task ``logits``, sums class
+    probabilities within each task, and normalizes to a distribution. A
+    class in no task gets no mass.
     """
-    features = np.vstack([t.test_features for t in task_stream.tasks])
-    if features.shape[0] == 0:
-        raise ValueError("no test examples in the stream")
-    probs = softmax(_corrected_logits(model, correction, features))
-    masses = np.empty(task_stream.n_tasks)
-    for t, task in enumerate(task_stream.tasks):
-        masses[t] = probs[:, list(task.class_ids)].sum(axis=1).mean()
+    class_mass = sum(softmax(z).sum(axis=0) for z in logits)
+    classes = [c for task in task_stream.tasks for c in task.class_ids]
+    owners = [t for t, task in enumerate(task_stream.tasks) for _ in task.class_ids]
+    masses = np.bincount(owners, class_mass[classes], task_stream.n_tasks)
     return masses / masses.sum()
 
 

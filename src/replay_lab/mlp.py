@@ -98,8 +98,7 @@ class Mlp:
         ``backward``."""
         if learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
-        for p, g in zip(self.weights + self.biases, self.weight_grads + self.bias_grads):
-            p -= learning_rate * g
+        self.params -= learning_rate * self.grads
 
     def copy(self) -> "Mlp":
         """Deep copy that keeps the subclass, so an overridden ``backward``

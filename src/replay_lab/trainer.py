@@ -264,7 +264,8 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
     BiC is fitted at the end of each task from the second onward (after the
     first task there is nothing to correct); CBiC at the end of every task.
     Either replaces the previously fitted layer. Corrections never touch the
-    backbone and only shape evaluation-time logits.
+    backbone and only shape evaluation-time logits: the final evaluation runs
+    one forward per test set and scores the raw and the corrected logits.
     """
     t_start = time.perf_counter()
     if eval_stream is None:
@@ -286,12 +287,14 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
                 state.correction = fit_cbic(state.model, state.buffer, partition,
                                             bias_cfg, state.rngs.fit)
 
-    per_task, avg = average_final_accuracy(state.model, state.correction, eval_stream)
-    dist_raw = task_prediction_distribution(state.model, None, eval_stream)
-    if state.correction is not None:
-        dist = task_prediction_distribution(state.model, state.correction, eval_stream)
-    else:
-        dist = dist_raw
+    for task in eval_stream.tasks:
+        if task.test_features.shape[0] == 0:
+            raise ValueError(f"task {task.class_ids} has an empty test set")
+    raw = [state.model.forward(task.test_features)[0] for task in eval_stream.tasks]
+    logits = raw if state.correction is None else [state.correction.apply(z) for z in raw]
+    per_task, avg = average_final_accuracy(logits, eval_stream)
+    dist_raw = task_prediction_distribution(raw, eval_stream)
+    dist = dist_raw if logits is raw else task_prediction_distribution(logits, eval_stream)
 
     mse = None
     if state.buffer.capacity > 0 and state.buffer.is_full:

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from replay_lab.bias_correction import CbicLayer
 from replay_lab.datasets import Dataset, make_class_il_tasks
 from replay_lab.evaluation import (average_final_accuracy, buffer_balance_mse,
                                    kl_to_uniform, task_prediction_distribution)
-from replay_lab.mlp import Mlp
+from replay_lab.mlp import softmax
 from replay_lab.sampling import ReplayBuffer
 
 
@@ -24,25 +23,32 @@ def onehot_stream(classes=4, per_class=6, classes_per_task=2, seed=0):
                                np.random.default_rng(seed))
 
 
-def rigged_model(weight, bias=None):
-    model = Mlp(list(np.asarray(weight).shape), np.random.default_rng(0))
-    model.weights[0][...] = weight
-    model.biases[0][...] = 0.0 if bias is None else bias
-    return model
+def rigged_logits(stream, weight, bias=None):
+    """Per-task test logits of the linear map ``x @ weight + bias``."""
+    bias = 0.0 if bias is None else np.asarray(bias, dtype=float)
+    return [task.test_features @ np.asarray(weight, dtype=float) + bias
+            for task in stream.tasks]
+
+
+def pooled_distribution(logits, stream):
+    """Reference task mass: softmax of every test row stacked, per-task row
+    sums, the mean over rows, then renormalized."""
+    probs = softmax(np.vstack(logits))
+    masses = np.array([probs[:, list(task.class_ids)].sum(axis=1).mean()
+                       for task in stream.tasks])
+    return masses / masses.sum()
 
 
 class TestAverageFinalAccuracy:
     def test_oracle_model_is_perfect(self):
         stream = onehot_stream()
-        model = rigged_model(10.0 * np.eye(4))
-        per_task, avg = average_final_accuracy(model, None, stream)
+        per_task, avg = average_final_accuracy(rigged_logits(stream, 10.0 * np.eye(4)), stream)
         assert per_task == [1.0, 1.0]
         assert avg == 1.0
 
     def test_constant_logits_reduce_to_always_predicting_class_zero(self):
         stream = onehot_stream()
-        model = rigged_model(np.zeros((4, 4)))
-        per_task, avg = average_final_accuracy(model, None, stream)
+        per_task, avg = average_final_accuracy(rigged_logits(stream, np.zeros((4, 4))), stream)
         # lowest-index tie-break: every example is predicted as class 0
         assert per_task[0] == pytest.approx(0.5)
         assert per_task[1] == 0.0
@@ -50,45 +56,52 @@ class TestAverageFinalAccuracy:
 
     def test_average_is_unweighted_mean_and_order_invariant(self):
         stream = onehot_stream(classes=6, classes_per_task=2)
-        model = rigged_model(np.diag([10.0, 10.0, -10.0, -10.0, 10.0, 10.0]))
-        per_task, avg = average_final_accuracy(model, None, stream)
+        weight = np.diag([10.0, 10.0, -10.0, -10.0, 10.0, 10.0])
+        per_task, avg = average_final_accuracy(rigged_logits(stream, weight), stream)
         assert avg == pytest.approx(float(np.mean(per_task)), abs=1e-12)
         reversed_stream = type(stream)(tasks=stream.tasks[::-1],
                                        class_count=stream.class_count)
-        _, avg_rev = average_final_accuracy(model, None, reversed_stream)
+        _, avg_rev = average_final_accuracy(rigged_logits(reversed_stream, weight),
+                                            reversed_stream)
         assert avg_rev == pytest.approx(avg, abs=1e-12)
 
 
 class TestTaskPredictionDistribution:
     def test_uniform_logits_give_uniform_task_mass(self):
         stream = onehot_stream()
-        model = rigged_model(np.zeros((4, 4)))
-        dist = task_prediction_distribution(model, None, stream)
+        dist = task_prediction_distribution(rigged_logits(stream, np.zeros((4, 4))), stream)
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
     def test_all_mass_on_last_task_is_a_delta(self):
         stream = onehot_stream()
-        model = rigged_model(np.zeros((4, 4)), bias=[0, 0, 50.0, 50.0])
-        dist = task_prediction_distribution(model, None, stream)
+        logits = rigged_logits(stream, np.zeros((4, 4)), bias=[0, 0, 50.0, 50.0])
+        dist = task_prediction_distribution(logits, stream)
         np.testing.assert_allclose(dist, [0.0, 1.0], atol=1e-12)
 
     def test_sums_to_one_and_shift_invariant(self):
         stream = onehot_stream(classes=6, classes_per_task=3)
         rng = np.random.default_rng(1)
         w = rng.normal(size=(6, 6))
-        base = task_prediction_distribution(rigged_model(w), None, stream)
-        shifted = task_prediction_distribution(rigged_model(w, bias=np.full(6, 3.7)),
-                                               None, stream)
+        base = task_prediction_distribution(rigged_logits(stream, w), stream)
+        shifted = task_prediction_distribution(rigged_logits(stream, w, bias=np.full(6, 3.7)),
+                                               stream)
         assert abs(base.sum() - 1.0) <= 1e-9
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
-    def test_correction_is_applied(self):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_pooled_formula_with_unequal_task_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        stream = onehot_stream(classes=8, per_class=1, classes_per_task=2, seed=seed)
+        logits = [rng.normal(scale=4.0, size=(int(rng.integers(1, 60)), 8))
+                  for _ in stream.tasks]
+        np.testing.assert_allclose(task_prediction_distribution(logits, stream),
+                                   pooled_distribution(logits, stream), rtol=0, atol=1e-15)
+
+    def test_a_class_in_no_task_gets_no_mass(self):
         stream = onehot_stream()
-        model = rigged_model(np.zeros((4, 4)), bias=[0, 0, 50.0, 50.0])
-        partition = {c: t for t, task in enumerate(stream.tasks) for c in task.class_ids}
-        fix = CbicLayer(betas=np.array([0.0, -50.0]), task_partition=partition)
-        dist = task_prediction_distribution(model, fix, stream)
-        np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
+        stream = type(stream)(tasks=stream.tasks[:1], class_count=stream.class_count)
+        logits = [np.array([[0.0, 0.0, 9.0, 9.0]])]
+        np.testing.assert_allclose(task_prediction_distribution(logits, stream), [1.0])
 
 
 class TestBufferBalanceMse:

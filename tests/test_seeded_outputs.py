@@ -44,15 +44,15 @@ DIGESTS = {
     "reservoir":
         "50aaf20cba33d17d658826f19fe5aabcc09f9e5ac6931abe91746041b00b43fd",
     "brs-cbic":
-        "91ee4943934b42b0bfdf8434da8a281e2bacb0c50c62fb086444de11963bebb7",
+        "ed686d0bddeef04811ce75855b9bdf40f38fc320903f387fb94a54dd77cacc59",
     "sgd-cbic":
-        "fa413d76c09944442989e11805ef446cd577d83950aa42471bcc34b10a1f7a36",
+        "f67a8f4b6f08acd17f7ff17eab9ae1304376964b23e549b0db2e25e6e9ba9d87",
     "lars-bic-elrd":
-        "4afb001c6a8341ffe342dcc619eb583382cf942c63b695336a0dcbb88b7fbf71",
+        "b02b57fc0f7dfa657733be33f308fc861494f8ebb71db384dea5f0680219fbaa",
     "ring":
-        "604e449649e4db92be4b8f965a747f2de2a9705209bf239d138c1df090f18f51",
+        "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
     "iba-stream-aug":
-        "5115676a0b2cd86cb53c7d68748b4fdbfa5654d8b944b4bf6a120d50c56ba957",
+        "755122dd00b12a76942188d8376261367a66765ce17444222ba9721584aac4b0",
 }
 
 ROUNDED_DIGESTS = {

@@ -5,8 +5,10 @@ import copy
 import numpy as np
 import pytest
 
+from replay_lab import trainer
 from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
+from replay_lab.evaluation import average_final_accuracy, task_prediction_distribution
 from replay_lab.mlp import Mlp, softmax_cross_entropy
 from replay_lab.trainer import (TrainConfig, ablation_configs, ablation_suite, er_train_step,
                                 init_state, method_label, merge_tasks,
@@ -353,11 +355,36 @@ class TestRingStrategyRuns:
         assert report.buffer_balance_mse is None
 
 
+def record_final_evaluation(monkeypatch):
+    """Record the state of the next run and the inputs of every
+    ``Mlp.forward`` made after its last training step or bias fit."""
+    seen = {"state": None, "eval_inputs": []}
+
+    def wrap(name, after):
+        inner = getattr(trainer, name)
+
+        def wrapped(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            after(out)
+            return out
+        monkeypatch.setattr(trainer, name, wrapped)
+
+    wrap("init_state", lambda state: seen.update(state=state))
+    for name in ("er_train_step", "fit_bic", "fit_cbic"):
+        wrap(name, lambda _: seen["eval_inputs"].clear())
+    forward = Mlp.forward
+
+    def counting_forward(self, inputs):
+        seen["eval_inputs"].append(inputs)
+        return forward(self, inputs)
+    monkeypatch.setattr(Mlp, "forward", counting_forward)
+    return seen
+
+
 class TestEvaluationErrors:
-    def test_empty_test_set_is_an_error(self):
-        from replay_lab.evaluation import average_final_accuracy
+    def test_empty_test_set_is_an_error(self, monkeypatch):
         stream = small_stream()
-        state, _ = run_training(stream, small_config())
+        seen = record_final_evaluation(monkeypatch)
         broken_task = type(stream.tasks[0])(
             class_ids=stream.tasks[0].class_ids,
             train_features=stream.tasks[0].train_features,
@@ -367,7 +394,34 @@ class TestEvaluationErrors:
         )
         broken = TaskStream(tasks=[broken_task], class_count=stream.class_count)
         with pytest.raises(ValueError, match="empty test set"):
-            average_final_accuracy(state.model, None, broken)
+            run_class_il(stream, small_config(), eval_stream=broken)
+        assert seen["eval_inputs"] == []
+
+
+class TestFinalEvaluation:
+    @pytest.mark.parametrize("tricks", [{}, {"bic": True}, {"cbic": True}])
+    def test_one_forward_per_test_set(self, monkeypatch, tricks):
+        stream = synthetic_class_il_stream(seed=0, **{**SMOKE, "class_count": 6})
+        seen = record_final_evaluation(monkeypatch)
+        run_class_il(stream, small_config(**tricks))
+        assert len(seen["eval_inputs"]) == stream.n_tasks
+        assert all(x is task.test_features
+                   for x, task in zip(seen["eval_inputs"], stream.tasks))
+
+    def test_correction_maps_the_raw_per_task_logits(self, monkeypatch):
+        stream = synthetic_class_il_stream(seed=0, **{**SMOKE, "class_count": 6})
+        seen = record_final_evaluation(monkeypatch)
+        report = run_class_il(stream, small_config(bic=True))
+        state = seen["state"]
+        assert state.correction is not None
+        raw = [state.model.forward(task.test_features)[0] for task in stream.tasks]
+        corrected = [state.correction.apply(z) for z in raw]
+        assert report.per_task_accuracy == average_final_accuracy(corrected, stream)[0]
+        assert report.task_pred_distribution == \
+            task_prediction_distribution(corrected, stream).tolist()
+        assert report.task_pred_distribution_raw == \
+            task_prediction_distribution(raw, stream).tolist()
+        assert report.task_pred_distribution != report.task_pred_distribution_raw
 
 
 class TestAblationSuite:
