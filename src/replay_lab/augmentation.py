@@ -1,5 +1,5 @@
-"""Stochastic input transforms and independent re-augmentation of replay
-draws.
+"""Stochastic input transforms on whole batches, and independent
+re-augmentation of replay draws.
 
 The buffer stores raw feature vectors; independent buffer augmentation
 transforms every draw with fresh randomness, so two draws of the same slot
@@ -35,36 +35,37 @@ class AugPolicy:
             raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
 
 
-def augment(policy: AugPolicy, features: np.ndarray,
+def augment(policy: AugPolicy, rows: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """Apply one random draw of the policy to a flattened image.
+    """Apply an independent draw of the policy to every row of an
+    ``(n, h*w*c)`` batch of flattened images; returns a new array of the
+    same shape and dtype, leaving ``rows`` untouched.
 
-    Never mutates ``features``. Pixel values stay in [0, 1] because
-    translation only introduces zero padding; with zero shift and no flip
-    the output equals the input bit for bit.
+    One ``rng.integers(-s, s + 1, size=(2, n))`` call draws every row's dy,
+    then every row's dx; one ``rng.random(n)`` call draws every row's flip.
+    Translation pads with zeros, so values stay in the input's range; with
+    zero shift and no flip the output equals the input bit for bit.
     """
     h, w, c = policy.image_dims
-    features = np.asarray(features)
-    if features.shape != (h * w * c,):
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != h * w * c:
         raise ValueError(
-            f"feature length {features.shape} does not match image dims {policy.image_dims}")
-    img = features.reshape(h, w, c)
-    dy = int(rng.integers(-policy.max_shift, policy.max_shift + 1))
-    dx = int(rng.integers(-policy.max_shift, policy.max_shift + 1))
-    out = np.zeros_like(img)
-    out[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
-        img[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
-    if rng.random() < policy.hflip_prob:
-        out = out[:, ::-1, :]
-    return out.reshape(-1)
+            f"rows of shape {rows.shape} are not a batch of {h}x{w}x{c} images")
+    n, s = rows.shape[0], policy.max_shift
+    dy, dx = rng.integers(-s, s + 1, size=(2, n))
+    flip = rng.random(n) < policy.hflip_prob
+    padded = np.pad(rows.reshape(n, h, w, c), ((0, 0), (s, s), (s, s), (0, 0)))
+    # output pixel (i, j) reads padded pixel (i + s - dy, j' + s - dx), j' = j mirrored if flipped
+    ys = np.arange(h) + s - dy[:, None]
+    xs = np.where(flip[:, None], np.arange(w)[::-1], np.arange(w)) + s - dx[:, None]
+    return padded[np.arange(n)[:, None, None], ys[:, :, None], xs[:, None, :]].reshape(n, -1)
 
 
 def replay_with_iba(buffer: ReplayBuffer, batch_size: int, policy: AugPolicy,
                     rng: np.random.Generator, aug_rng: np.random.Generator):
-    """Draw a replay batch with ``rng`` and re-augment each drawn instance
-    independently with ``aug_rng``, so the draws and the augmentation can be
-    ablated apart. Returns (slot ids, feature matrix, label vector)."""
+    """Draw a replay batch with ``rng`` and re-augment every drawn instance
+    independently with ``aug_rng`` in one ``augment`` call, so the draws and
+    the augmentation can be ablated apart. Returns (slot ids, feature matrix,
+    label vector)."""
     ids, feats, labels = buffer.draw_replay_batch(batch_size, rng)
-    for k, row in enumerate(feats):
-        feats[k] = augment(policy, row, aug_rng)
-    return ids, feats, labels
+    return ids, augment(policy, feats, aug_rng), labels

@@ -174,11 +174,8 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
     rngs = state.rngs
     lr = state.schedule.lr_at(state.examples_seen)
 
-    if config.aug_stream_enabled:
-        train_feats = np.stack([augment(state.aug_policy, f, rngs.stream_aug)
-                                for f in features])
-    else:
-        train_feats = features
+    train_feats = (augment(state.aug_policy, features, rngs.stream_aug)
+                   if config.aug_stream_enabled else features)
 
     replay_ids = None
     if config.replay_enabled and state.buffer.n_filled > 0:

@@ -52,7 +52,7 @@ DIGESTS = {
     "ring":
         "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
     "iba-stream-aug":
-        "755122dd00b12a76942188d8376261367a66765ce17444222ba9721584aac4b0",
+        "a84aac6f30df5590f6bd8c9ca1e10e677073084740a5eb7980f58c2deb71e408",
 }
 
 ROUNDED_DIGESTS = {
@@ -67,7 +67,7 @@ ROUNDED_DIGESTS = {
     "ring":
         "02d9e248023c0696777364ec640acc4b71ad039072d507b3346d17d3abfcd7ab",
     "iba-stream-aug":
-        "bdc3d0f1ef052bd361956a2f266983ef840b68fab6f0947861797b25604c6b82",
+        "4783f27ac000ab9ade69954a217c2debc7f214d9ffe018c8f50e570491376408",
 }
 
 

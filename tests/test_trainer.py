@@ -5,7 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from replay_lab import trainer
+from replay_lab import augmentation, trainer
+from replay_lab.augmentation import augment
 from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.evaluation import average_final_accuracy, task_prediction_distribution
@@ -295,15 +296,47 @@ class TestDataFlowIsolation:
         np.testing.assert_array_equal(state_a.model.params, state_b.model.params)
         assert state_a.buffer.loss.tolist() == state_b.buffer.loss.tolist()
 
-    def test_buffer_holds_raw_stream_features_with_iba(self):
+    @pytest.mark.parametrize("iba", [True, False])
+    def test_buffer_holds_raw_stream_features_with_iba(self, iba, monkeypatch):
+        # with IBA the buffer keeps raw stream rows; without it, the augmented
+        # rows the step trained on
+        trained = []
+
+        def recording_augment(*args):
+            out = augment(*args)
+            trained.extend(row.tobytes() for row in out)
+            return out
+
+        monkeypatch.setattr(trainer, "augment", recording_augment)
         stream = small_stream()
-        config = small_config(iba=True, aug_max_shift=1, image_dims=(4, 2, 1),
-                              buffer_capacity=10)
+        config = small_config(iba=iba, aug_stream_enabled=True, aug_max_shift=1,
+                              aug_hflip_prob=0.5, image_dims=(4, 2, 1), buffer_capacity=10)
         state, _ = run_training(stream, config)
         raw_rows = {row.tobytes()
                     for task in stream.tasks for row in task.train_features}
-        for row in state.buffer.features[state.buffer.labels >= 0]:
-            assert row.tobytes() in raw_rows
+        stored = {row.tobytes() for row in state.buffer.features[state.buffer.labels >= 0]}
+        kept, other = (raw_rows, set(trained)) if iba else (set(trained), raw_rows)
+        assert stored <= kept
+        assert stored - other, "every stored row is both raw and trained on"
+
+    def test_one_transform_call_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting_augment(policy, rows, rng):
+            calls.append(rows.shape)
+            return augment(policy, rows, rng)
+
+        monkeypatch.setattr(trainer, "augment", counting_augment)
+        monkeypatch.setattr(augmentation, "augment", counting_augment)
+        stream = small_stream()
+        config = small_config(iba=True, aug_stream_enabled=True, aug_max_shift=1,
+                              aug_hflip_prob=0.5, image_dims=(4, 2, 1))
+        state = init_state(stream, config)
+        task = stream.tasks[0]
+        er_train_step(state, task.train_features[:5], task.train_labels[:5], config)
+        calls.clear()
+        er_train_step(state, task.train_features[5:10], task.train_labels[5:10], config)
+        assert calls == [(5, 8), (8, 8)]
 
 
 class TestCorrectionsDuringRuns:
