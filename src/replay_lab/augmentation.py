@@ -54,11 +54,15 @@ def augment(policy: AugPolicy, rows: np.ndarray,
     n, s = rows.shape[0], policy.max_shift
     dy, dx = rng.integers(-s, s + 1, size=(2, n))
     flip = rng.random(n) < policy.hflip_prob
-    padded = np.pad(rows.reshape(n, h, w, c), ((0, 0), (s, s), (s, s), (0, 0)))
+    hp, wp = h + 2 * s, w + 2 * s
+    padded = np.zeros((n, hp, wp, c), dtype=rows.dtype)
+    padded[:, s:s + h, s:s + w] = rows.reshape(n, h, w, c)
     # output pixel (i, j) reads padded pixel (i + s - dy, j' + s - dx), j' = j mirrored if flipped
     ys = np.arange(h) + s - dy[:, None]
     xs = np.where(flip[:, None], np.arange(w)[::-1], np.arange(w)) + s - dx[:, None]
-    return padded[np.arange(n)[:, None, None], ys[:, :, None], xs[:, None, :]].reshape(n, -1)
+    # gather whole pixels by their flat index in the padded batch
+    at = (np.arange(n)[:, None, None] * hp + ys[:, :, None]) * wp + xs[:, None, :]
+    return padded.reshape(-1, c)[at].reshape(n, -1)
 
 
 def replay_with_iba(buffer: ReplayBuffer, batch_size: int, policy: AugPolicy,

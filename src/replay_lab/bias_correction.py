@@ -11,6 +11,10 @@ frozen and applied to logits at evaluation time only:
 
 Each layer corrects logits with ``.apply()`` and describes itself for the
 run report with ``.summary()``.
+
+The fit reduces each buffer row once, to the logits the correction moves
+(BiC: the last task's; CBiC: one log-sum-exp per task after the first) plus
+one log-sum-exp of the rest, and descends the buffer cross-entropy on those.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import Mlp, softmax
+from .mlp import Mlp
 from .sampling import ReplayBuffer
 
 
@@ -88,27 +92,36 @@ def _class_index(classes, n_logits: int) -> list[int]:
     return idx
 
 
-def _descend(model: Mlp, buffer: ReplayBuffer, params: np.ndarray, corrected, grad,
-             config: BiasFitConfig, rng: np.random.Generator) -> np.ndarray:
+def _descend(model: Mlp, buffer: ReplayBuffer, params: np.ndarray, col: np.ndarray,
+             corrected, grad, config: BiasFitConfig,
+             rng: np.random.Generator) -> np.ndarray:
     """Minibatch gradient descent of ``params`` on the buffer cross-entropy.
 
-    ``corrected(params, o)`` maps raw logits ``o`` to corrected ones and
-    ``grad(dq, o)`` maps the loss gradient at the corrected logits to the
-    gradient of ``params``. The backbone is frozen during fitting, so its
-    logits on the buffer are computed once and reused across epochs.
+    The backbone is frozen, so the buffer's logits are computed and reduced
+    once: free column ``j`` to the log-sum-exp of the logits ``c`` with
+    ``col[c] == j``, the rest (``col < 0``) to one log-sum-exp, -inf if none.
+    ``corrected(params, z)`` maps free columns to corrected ones, and
+    ``grad(dq, z)`` maps the loss gradient there to that of ``params``.
     """
     feats, labels = buffer.as_arrays()
     logits, _ = model.forward(feats)
+    free = np.empty((logits.shape[0], col.max() + 1))
+    for j in range(free.shape[1]):
+        free[:, j] = np.logaddexp.reduce(logits[:, col == j], axis=1)
+    rest = np.logaddexp.reduce(logits[:, col < 0], axis=1, keepdims=True)
+    onehot = (col[labels][:, None] == np.arange(free.shape[1])).astype(float)
     for _ in range(config.epochs):
-        order = rng.permutation(logits.shape[0])
+        order = rng.permutation(free.shape[0])
+        free_e, rest_e, onehot_e = free[order], rest[order], onehot[order]
         for start in range(0, order.size, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            o = logits[rows]
+            rows = slice(start, start + config.batch_size)
+            z = free_e[rows]
+            q = corrected(params, z)
             # gradient of the mean cross-entropy: (softmax - onehot) / n
-            dq = softmax(corrected(params, o))
-            dq[np.arange(rows.size), labels[rows]] -= 1.0
-            dq /= rows.size
-            params -= config.lr * grad(dq, o)
+            q -= np.logaddexp(np.logaddexp.reduce(q, axis=1, keepdims=True), rest_e[rows])
+            dq = np.exp(q, out=q)
+            dq -= onehot_e[rows]
+            params -= config.lr / z.shape[0] * grad(dq, z)
     return params
 
 
@@ -123,16 +136,17 @@ def fit_bic(model: Mlp, buffer: ReplayBuffer, last_task_classes,
     if not classes:
         raise ValueError("last_task_classes must be non-empty")
     idx = _class_index(classes, model.layer_dims[-1])
+    col = np.full(model.layer_dims[-1], -1)
+    col[idx] = np.arange(len(idx))
 
-    def corrected(p, o):
-        q = o.copy()
-        q[:, idx] = p[0] * o[:, idx] + p[1]
-        return q
+    def corrected(p, z):
+        return p[0] * z + p[1]
 
-    def grad(dq, o):
-        return np.array([(dq[:, idx] * o[:, idx]).sum(), dq[:, idx].sum()])
+    def grad(dq, z):
+        return np.array([np.vdot(dq, z), dq.sum()])
 
-    alpha, beta = _descend(model, buffer, np.array([1.0, 0.0]), corrected, grad, config, rng)
+    alpha, beta = _descend(model, buffer, np.array([1.0, 0.0]), col, corrected, grad,
+                           config, rng)
     return BicLayer(alpha=float(alpha), beta=float(beta), last_task_classes=classes)
 
 
@@ -140,26 +154,22 @@ def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
              config: BiasFitConfig, rng: np.random.Generator) -> CbicLayer:
     """Fit per-task offsets by gradient descent on the buffer cross-entropy.
 
-    Offsets start at zero; the first task's offset stays pinned at zero.
-    The partition needs to cover only the classes seen so far: logits of
-    classes outside it (not yet encountered mid-stream) pass through
-    uncorrected during fitting. A class id the model has no logit for is
-    rejected.
+    Offsets start at zero; the first task's offset stays pinned at zero, so
+    its logits are left alone like those of classes outside the partition
+    (not yet encountered mid-stream), which pass through uncorrected during
+    fitting. A class id the model has no logit for is rejected.
     """
     k = model.layer_dims[-1]
     n_tasks = max(task_partition.values()) + 1
     _class_index(task_partition, k)
-    mapped = np.array([c in task_partition for c in range(k)])
-    task_idx = np.array([task_partition.get(c, 0) for c in range(k)])
+    # task t >= 1 is free column t - 1; task 0 and unmapped classes are the rest
+    col = np.array([task_partition.get(c, 0) - 1 for c in range(k)])
 
-    def corrected(betas, o):
-        return o + np.where(mapped, betas[task_idx], 0.0)
+    def corrected(betas, z):
+        return z + betas
 
-    def grad(dq, o):
-        d_betas = np.zeros(n_tasks)
-        np.add.at(d_betas, task_idx[mapped], dq.sum(axis=0)[mapped])
-        d_betas[0] = 0.0
-        return d_betas
+    def grad(dq, z):
+        return dq.sum(axis=0)
 
-    betas = _descend(model, buffer, np.zeros(n_tasks), corrected, grad, config, rng)
-    return CbicLayer(betas=betas, task_partition=dict(task_partition))
+    betas = _descend(model, buffer, np.zeros(n_tasks - 1), col, corrected, grad, config, rng)
+    return CbicLayer(betas=np.append(0.0, betas), task_partition=dict(task_partition))

@@ -1,6 +1,7 @@
 """Tests for the affine (last task) and per-task additive logit corrections."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -260,3 +261,168 @@ class TestFitCbic:
         before = model.params.copy()
         fit_cbic(model, buf, partition, fit_config(50), np.random.default_rng(15))
         np.testing.assert_array_equal(model.params, before)
+
+
+# -- the fit against the full-softmax minibatch loop ---------------------------
+
+def reference_descend(model, buffer, params, corrected, grad, config, rng):
+    """The fit's minibatch loop over the full ``(n, k)`` logits: softmax of
+    every corrected logit, minus the one-hot label, mapped to the gradient of
+    ``params`` by ``grad``."""
+    feats, labels = buffer.as_arrays()
+    logits, _ = model.forward(feats)
+    for _ in range(config.epochs):
+        order = rng.permutation(logits.shape[0])
+        for start in range(0, order.size, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            o = logits[rows]
+            dq = softmax(corrected(params, o))
+            dq[np.arange(rows.size), labels[rows]] -= 1.0
+            dq /= rows.size
+            params -= config.lr * grad(dq, o)
+    return params
+
+
+def reference_fit_bic(model, buffer, classes, config, rng):
+    idx = sorted(classes)
+
+    def corrected(p, o):
+        q = o.copy()
+        q[:, idx] = p[0] * o[:, idx] + p[1]
+        return q
+
+    def grad(dq, o):
+        return np.array([(dq[:, idx] * o[:, idx]).sum(), dq[:, idx].sum()])
+
+    return reference_descend(model, buffer, np.array([1.0, 0.0]), corrected, grad, config, rng)
+
+
+def reference_fit_cbic(model, buffer, partition, config, rng):
+    k = model.layer_dims[-1]
+    n_tasks = max(partition.values()) + 1
+    mapped = np.array([c in partition for c in range(k)])
+    task_idx = np.array([partition.get(c, 0) for c in range(k)])
+
+    def corrected(betas, o):
+        return o + np.where(mapped, betas[task_idx], 0.0)
+
+    def grad(dq, o):
+        d_betas = np.zeros(n_tasks)
+        np.add.at(d_betas, task_idx[mapped], dq.sum(axis=0)[mapped])
+        d_betas[0] = 0.0
+        return d_betas
+
+    return reference_descend(model, buffer, np.zeros(n_tasks), corrected, grad, config, rng)
+
+
+def random_fit_case(seed, scale=None):
+    """A buffer of n one-hot rows whose logits under a linear model are
+    uniform in [-scale, scale] (k 2-8, n 3-60, scale at most 10 unless
+    given), with random labels and a random minibatch size (1-8)."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 9)), int(rng.integers(3, 61))
+    scale = rng.uniform(0.1, 10.0) if scale is None else scale
+    model = linear_model(rng.uniform(-scale, scale, size=(n, k)))
+    buf = buffer_of(np.eye(n), labels=rng.integers(0, k, n).tolist())
+    config = BiasFitConfig(epochs=int(rng.integers(1, 21)), batch_size=int(rng.integers(1, 9)),
+                           lr=float(rng.choice([0.01, 0.05, 0.1])))
+    return rng, k, model, buf, config
+
+
+def bic_classes(kind, k, rng):
+    if kind == "all-classes":      # every logit is corrected: no rest
+        return set(range(k))
+    return set(rng.choice(k, int(rng.integers(1, k)), replace=False).tolist())
+
+
+def cbic_partition(kind, k, rng):
+    if kind == "unmapped":         # mid-stream: the last classes have no task yet
+        mapped = int(rng.integers(1, k))
+        return {c: int(rng.integers(0, 3)) for c in range(mapped)}
+    if kind == "empty-task":       # task 1 has no classes
+        return {c: 0 if c < k // 2 else 2 for c in range(k)}
+    return {c: int(rng.integers(0, 4)) for c in range(k)}
+
+
+def buffer_ce(logits, labels):
+    """Mean cross-entropy, stable at any logit scale."""
+    lse = np.logaddexp.reduce(logits, axis=1)
+    return float((lse - logits[np.arange(labels.size), labels]).mean())
+
+
+class TestFitMatchesFullSoftmax:
+    """The fit works on each row's free logits plus one log-sum-exp of the
+    rest; it must make the same draws and reach the same parameters as the
+    loop over every logit, up to rounding."""
+
+    @pytest.mark.parametrize("kind", ["random", "all-classes"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bic(self, seed, kind):
+        rng, k, model, buf, config = random_fit_case(seed)
+        classes = bic_classes(kind, k, rng)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_fit_bic(model, buf, classes, config, ref_rng)
+        layer = fit_bic(model, buf, classes, config, rng)
+        np.testing.assert_allclose([layer.alpha, layer.beta], expected, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["random", "unmapped", "empty-task"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cbic(self, seed, kind):
+        rng, k, model, buf, config = random_fit_case(seed)
+        partition = cbic_partition(kind, k, rng)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_fit_cbic(model, buf, partition, config, ref_rng)
+        layer = fit_cbic(model, buf, partition, config, rng)
+        assert layer.betas.shape == expected.shape
+        np.testing.assert_allclose(layer.betas, expected, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_logits_stay_finite_and_do_not_raise_the_loss(self, seed):
+        # At logit scale 300 both loops lose digits to p - y near p = 1, so
+        # they are not compared. The step is sized for such logits: the
+        # gradient of alpha grows with them, and at the run's lr of 0.01 the
+        # fixed-step descent can overshoot, in either loop.
+        rng, k, model, buf, _ = random_fit_case(seed, scale=300.0)
+        config = BiasFitConfig(epochs=50, batch_size=32, lr=0.001)
+        feats, labels = buf.as_arrays()
+        logits, _ = model.forward(feats)
+        identity = buffer_ce(logits, labels)
+        bic = fit_bic(model, buf, bic_classes("random", k, rng), config,
+                      np.random.default_rng(seed))
+        cbic = fit_cbic(model, buf, cbic_partition("random", k, rng), config,
+                        np.random.default_rng(seed))
+        assert np.isfinite([bic.alpha, bic.beta]).all() and np.isfinite(cbic.betas).all()
+        assert buffer_ce(bic.apply(logits), labels) <= identity
+        assert buffer_ce(cbic.apply(logits), labels) <= identity
+
+
+class CountingRng:
+    """A generator that counts the methods the code under test looks up."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
+                                      (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
+@pytest.mark.parametrize("epochs", [0, 1, 7])
+def test_one_forward_and_one_permutation_per_epoch(monkeypatch, fit, arg, epochs):
+    model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
+    buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
+    forwards = []
+    forward = Mlp.forward
+
+    def counting_forward(self, inputs):
+        forwards.append(inputs.shape)
+        return forward(self, inputs)
+    monkeypatch.setattr(Mlp, "forward", counting_forward)
+    rng = CountingRng(np.random.default_rng(2))
+    fit(model, buf, arg, BiasFitConfig(epochs=epochs, batch_size=4, lr=0.1), rng)
+    assert forwards == [(6, 6)]
+    assert rng.calls == Counter({"permutation": epochs} if epochs else {})

@@ -44,11 +44,11 @@ DIGESTS = {
     "reservoir":
         "50aaf20cba33d17d658826f19fe5aabcc09f9e5ac6931abe91746041b00b43fd",
     "brs-cbic":
-        "ed686d0bddeef04811ce75855b9bdf40f38fc320903f387fb94a54dd77cacc59",
+        "7c628ab832e9ab9b8d657c645fa88f0b8bd93f7520cff8a8d4c7faa7668814d8",
     "sgd-cbic":
         "f67a8f4b6f08acd17f7ff17eab9ae1304376964b23e549b0db2e25e6e9ba9d87",
     "lars-bic-elrd":
-        "b02b57fc0f7dfa657733be33f308fc861494f8ebb71db384dea5f0680219fbaa",
+        "f1e09782802d682ac6d891470bb07d1efc29559027548f2a37a0b2ae03ead36d",
     "ring":
         "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
     "iba-stream-aug":
