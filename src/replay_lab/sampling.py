@@ -17,10 +17,10 @@ strategies are supported:
 
 Stored items are copies of the offered raw rows, kept in preallocated
 arrays. All randomness flows through an injected ``numpy.random.Generator``:
-``reservoir`` makes all of a batch's admission draws in one call, while
-``brs`` and ``lars`` draw each item's admission and victim in turn, since
-both share the generator. A buffer is owned by a single training run and
-mutated sequentially.
+the reservoir strategies draw one uniform per item offered past the fill, in
+one call per batch; it decides admission and, for ``brs`` and ``lars``, the
+victim, so all three admit the same items. A buffer is owned by a single
+training run and mutated sequentially.
 """
 
 from __future__ import annotations
@@ -137,8 +137,10 @@ class ReplayBuffer:
         value each. Returns each item's slot, or -1 for an item that was not
         admitted; an admitted row is copied into its slot. When two items of
         a batch take the same slot, the later one is what stays. The
-        outcome, generator state included, is that of offering the items
-        one at a time. ``seen_count`` grows by the batch size.
+        reservoir strategies make one ``rng.random`` call for the items past
+        the fill, and ``ring`` draws nothing; the outcome, generator state
+        included, is that of offering the items one at a time.
+        ``seen_count`` grows by the batch size.
 
         The whole batch is validated before anything is written: labels
         must be integers in ``[0, class_count)``, losses must be finite and
@@ -190,44 +192,40 @@ class ReplayBuffer:
         return slots
 
     def _reservoir_slots(self, labels, losses, slots, rng: np.random.Generator) -> None:
-        seen, n = self.seen_count, labels.size
-        fill = min(max(self.capacity - seen, 0), n)
+        seen, n, capacity = self.seen_count, labels.size, self.capacity
+        fill = min(max(capacity - seen, 0), n)
         slots[:fill] = np.arange(seen, seen + fill)
         if fill == n:
             return
+        # Item i of the batch is offer number seen + i + 1: w is uniform on
+        # [0, seen + i + 1), so w < capacity admits it with probability
+        # capacity / (seen + i + 1). One call draws what one per item would.
+        w = rng.random(n - fill) * np.arange(seen + fill + 1, seen + n + 1)
+        hit = (w < capacity).nonzero()[0]
         if self.strategy == RESERVOIR:
-            # Item i of the batch draws uniformly from {0..seen + i}: one
-            # more outcome than items before it, so it is admitted with
-            # probability capacity / (seen + i + 1), the admission rule
-            # shared by all reservoir-family strategies. One call with an
-            # array of bounds makes the same draws as one call per item.
-            draws = rng.integers(0, np.arange(seen + fill + 1, seen + n + 1))
-            hit = (draws < self.capacity).nonzero()[0]
-            slots[fill + hit] = draws[hit]
+            slots[fill + hit] = w[hit].astype(np.int64)
             return
-        # BRS and LARS pick each victim from the buffer as the items before
-        # it left it, drawing from the same generator as the admissions.
+        # Once admitted, w / capacity is uniform on [0, 1). BRS and LARS
+        # pick each victim from it, in the buffer the items before it left.
         self.labels[seen:seen + fill] = labels[:fill]
         self.loss[seen:seen + fill] = losses[:fill]
-        integers, capacity = rng.integers, self.capacity
-        for i in range(fill, n):
-            if integers(0, seen + i + 1) >= capacity:
-                continue
-            slot = self._victim_slot(rng)
-            self.labels[slot] = labels[i]
-            self.loss[slot] = losses[i]
-            slots[i] = slot
+        for i in hit.tolist():
+            slot = self._victim_slot(float(w[i]) / capacity)
+            self.labels[slot] = labels[fill + i]
+            self.loss[slot] = losses[fill + i]
+            slots[fill + i] = slot
 
-    def _victim_slot(self, rng: np.random.Generator) -> int:
+    def _victim_slot(self, u: float) -> int:
+        """The slot of the full buffer that the uniform ``u`` in [0, 1)
+        evicts, by inverse CDF."""
         if self.strategy == BALANCED_RESERVOIR:
-            # The incoming item is not in the buffer yet, so it contributes
-            # nothing to the class counts used for victim selection.
+            # uniform over the slots of the most represented classes; the
+            # incoming item is not stored yet, so its class is not counted
             counts = self._label_counts()
-            tied = np.flatnonzero(counts == counts.max())
-            cls = tied[int(rng.integers(0, tied.size))]
-            members = np.flatnonzero(self.labels == cls)
-            return int(members[int(rng.integers(0, members.size))])
-        return int(rng.choice(self.capacity, p=lars_scores(self).probs))
+            eligible = np.flatnonzero(counts[self.labels] == counts.max())
+            return int(eligible[int(u * eligible.size)])
+        cdf = np.cumsum(lars_scores(self).probs)
+        return int(np.searchsorted(cdf / cdf[-1], u, side="right"))
 
     def _ring_slots(self, labels, slots) -> None:
         if self._segment == 0:

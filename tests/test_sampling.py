@@ -98,6 +98,22 @@ class TestFillPhase:
         assert buf.n_filled == 0
 
 
+class CountingGenerator:
+    """A seeded generator that records the name of every method called."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return record
+
+
 def seeded_stream(n, class_count, seed=0):
     data = np.random.default_rng(1000 + seed)
     return (data.uniform(size=(n, 3)), data.integers(0, class_count, size=n),
@@ -134,16 +150,17 @@ def offer_by_reference(strategy, capacity, class_count, n, seed=0):
             ring_next[y] += 1
         elif seen < capacity:
             slots[seen] = seen
-        elif (j := int(rng.integers(0, seen + 1))) < capacity:
+        elif (w := rng.random() * (seen + 1)) < capacity:
+            u = w / capacity
             if strategy == RESERVOIR:
-                slots[seen] = j
+                slots[seen] = int(w)
             elif strategy == BALANCED_RESERVOIR:
-                counts = np.bincount(buf.labels[buf.labels >= 0])
-                tied = np.flatnonzero(counts == counts.max())
-                members = np.flatnonzero(buf.labels == tied[int(rng.integers(0, tied.size))])
-                slots[seen] = members[int(rng.integers(0, members.size))]
+                count = [int(np.sum(buf.labels == c)) for c in buf.labels]
+                majority = [k for k in range(capacity) if count[k] == max(count)]
+                slots[seen] = majority[int(u * len(majority))]
             else:
-                slots[seen] = rng.choice(capacity, p=lars_scores(buf).probs)
+                cdf = np.cumsum(lars_scores(buf).probs)
+                slots[seen] = min(k for k in range(capacity) if u < cdf[k] / cdf[-1])
         if slots[seen] >= 0:
             slot = slots[seen]
             buf.features[slot], buf.labels[slot], buf.loss[slot] = \
@@ -184,6 +201,23 @@ class TestBatchedUpdate:
                                                   buf.features[filled])
                 assert batched.seen_count == buf.seen_count == sum(sizes)
                 assert b_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_generator_call_per_update(self, strategy):
+        # a reservoir strategy makes one `random` call per batch that runs
+        # past the fill, and its victims draw nothing; ring draws nothing
+        buf = ReplayBuffer(9, strategy, class_count=3)
+        rng = CountingGenerator(0)
+        features, labels, losses = seeded_stream(80, 3)
+        expected = [] if strategy == RING else ["random"]
+        buf.update(features[:5], labels[:5], losses[:5], rng)
+        assert rng.calls == []
+        for a, b in ((5, 40), (40, 80)):
+            rng.calls.clear()
+            slots = buf.update(features[a:b], labels[a:b], losses[a:b], rng)
+            past_fill = slots[max(buf.capacity - a, 0):]
+            assert np.count_nonzero(past_fill >= 0) >= 2
+            assert rng.calls == expected
 
     def test_capacity_zero_draws_nothing(self):
         for strategy in STRATEGIES:
@@ -280,20 +314,28 @@ class TestReservoir:
 
     def test_admission_probability_shared_by_all_reservoir_strategies(self):
         # Admission of the incoming item at step N+1 has probability
-        # capacity/(N+1) regardless of the eviction rule.
+        # capacity/(N+1) regardless of the eviction rule: the victim draws
+        # nothing, so every strategy admits the same items from the same
+        # generator, run by run.
         capacity, n_items, runs = 10, 60, 2000
-        for strategy in (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR):
-            admitted = np.zeros(n_items)
-            for run in range(runs):
+        admitted = np.zeros(n_items)
+        for run in range(runs):
+            outcomes = []
+            for strategy in (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR):
                 rng = np.random.default_rng(np.random.SeedSequence([7, run]))
                 buf = ReplayBuffer(capacity, strategy, class_count=4)
-                admitted += buf.update(np.empty((n_items, 0)), np.arange(n_items) % 4,
-                                       np.full(n_items, 0.1), rng) >= 0
+                mask = buf.update(np.empty((n_items, 0)), np.arange(n_items) % 4,
+                                  np.full(n_items, 0.1), rng) >= 0
                 assert_buffer_invariants(buf)
-            freq = admitted / runs
-            p = np.minimum(1.0, capacity / (np.arange(n_items) + 1.0))
-            sd = np.sqrt(p * (1 - p) / runs)
-            assert np.all(np.abs(freq - p) <= 3 * sd + 1e-12), strategy
+                outcomes.append((mask.tolist(), rng.bit_generator.state))
+            assert outcomes[0] == outcomes[1] == outcomes[2], run
+            admitted += mask
+        freq = admitted / runs
+        p = np.minimum(1.0, capacity / (np.arange(n_items) + 1.0))
+        sd = np.sqrt(p * (1 - p) / runs)
+        # 50 items have 0 < p < 1; 4 sd is the Bonferroni bound for 50
+        # tests, a family-wise false-failure rate of about 0.3%
+        assert np.all(np.abs(freq - p) <= 4 * sd + 1e-12)
 
 
 class TestBalancedReservoir:
@@ -341,6 +383,20 @@ class TestBalancedReservoir:
             if slot >= 0:
                 overwritten.add(slot)
         assert overwritten == {0, 1, 2, 3}
+
+    def test_victim_uniform_over_slots_of_tied_majority_classes(self):
+        # classes 0 and 1 tie at two items each: each of their four slots
+        # is evicted with probability 1/4, checked within 4 binomial sd
+        hits = np.zeros(5)
+        for seed in range(4000):
+            buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1, 1, 2], seed=seed)
+            slot = offer(buf, 2, np.random.default_rng(seed))
+            if slot >= 0:
+                hits[slot] += 1
+        admitted = hits.sum()
+        assert hits[4] == 0
+        sd = np.sqrt(0.25 * 0.75 / admitted)
+        assert np.all(np.abs(hits[:4] / admitted - 0.25) <= 4 * sd)
 
     def test_victim_class_always_among_argmax_counts(self):
         # randomized sweep over buffer compositions
@@ -457,6 +513,24 @@ class TestLarsUpdate:
         freq = hits / admitted
         sd = np.sqrt(reference * (1 - reference) / admitted)
         assert np.all(np.abs(freq - reference) <= 4 * sd + 1e-9)
+
+
+class TestVictimFromUniform:
+    """BRS and LARS map the admitted item's uniform in [0, 1) to a victim by
+    inverse CDF; its two ends land on the first and last eligible slots."""
+
+    @pytest.mark.parametrize("strategy, labels, losses, first, last", [
+        # classes 0 and 1 tie at two items; slot 0 holds class 2
+        (BALANCED_RESERVOIR, [2, 0, 1, 1, 0], [0.0] * 5, 1, 4),
+        # slots 0 and 4 score lowest and have eviction probability 0
+        (LOSS_AWARE_RESERVOIR, [0, 0, 0, 1, 0], [3.0, 1.0, 1.0, 1.0, 3.0], 1, 3),
+    ])
+    def test_ends_of_the_unit_interval(self, strategy, labels, losses, first, last):
+        buf = fill_buffer(strategy, labels=labels, losses=losses)
+        if strategy == LOSS_AWARE_RESERVOIR:
+            assert np.flatnonzero(lars_scores(buf).probs).tolist() == [1, 2, 3]
+        assert buf._victim_slot(0.0) == first
+        assert buf._victim_slot(float(np.nextafter(1.0, 0.0))) == last
 
 
 class TestRefreshLossScores:

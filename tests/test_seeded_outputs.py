@@ -13,7 +13,9 @@ exact digests but not the rounded ones, so the pair tells "only rounding
 moved" apart from "a number moved".
 
 Two more pins cover what no report reaches: the count matrices of the
-buffer-balance study and the hash of the default configuration.
+buffer-balance study and the hash of the default configuration. A failing
+pin prints the digest it got, so a re-pin reads the new value from the
+failure message.
 """
 
 import hashlib
@@ -42,32 +44,32 @@ CASES = {
 
 DIGESTS = {
     "reservoir":
-        "50aaf20cba33d17d658826f19fe5aabcc09f9e5ac6931abe91746041b00b43fd",
+        "d2825c90188a10bb1c1309e7a9699d871947c5398360664fb92d242b451c6272",
     "brs-cbic":
-        "7c628ab832e9ab9b8d657c645fa88f0b8bd93f7520cff8a8d4c7faa7668814d8",
+        "ded78e0cf45e6759bbbf8b541c60a5126891aed6c537610952e53d45c0827e5c",
     "sgd-cbic":
-        "f67a8f4b6f08acd17f7ff17eab9ae1304376964b23e549b0db2e25e6e9ba9d87",
+        "65d8ad8c4cd2f0592f5a8e55736d2066635c56f83e3623e7b119dc1a7dd828e0",
     "lars-bic-elrd":
-        "f1e09782802d682ac6d891470bb07d1efc29559027548f2a37a0b2ae03ead36d",
+        "212cda2cf6a1ad197040c0ee8714f396b03b5787a4bc79538d470cd1e7fc1d95",
     "ring":
         "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
     "iba-stream-aug":
-        "a84aac6f30df5590f6bd8c9ca1e10e677073084740a5eb7980f58c2deb71e408",
+        "f8757c76987cb664e26644fc26cb36d9d5aa02249f213fb53f028a8f1a01efa6",
 }
 
 ROUNDED_DIGESTS = {
     "reservoir":
-        "cd556a3bc6041a9970adabdf7c1e85d231f70fd5b813ad3fac537e65200dfd88",
+        "b660912df7be0376964344d7ac6dc295254814667a7189e7874c530718eb12b6",
     "brs-cbic":
-        "b65717db074018cbd6edee1705bda794c9332bab8c7ab9bb0449d5968bdd0d90",
+        "e78509bddb1d1de58c54a2051c8565181dbbd4d5c4e4aaf37ac4e4ef9dd98a7b",
     "sgd-cbic":
-        "588ba8cc4442038cc3b04faea1d608a3483685b3c07d1e0d9b233e5a4ef41065",
+        "1c14af96e2263ee58fd5c23508aa3e1aadf16c7d5110a51f95ee40fb728961e0",
     "lars-bic-elrd":
-        "966407c9a6ac3291e15aa9b7bb4e06bf8427977960be76e04e004bb42450a804",
+        "f755ef8a671a17396458dc79c285efa78be2a381b64966b87021acbe53c49351",
     "ring":
         "02d9e248023c0696777364ec640acc4b71ad039072d507b3346d17d3abfcd7ab",
     "iba-stream-aug":
-        "4783f27ac000ab9ade69954a217c2debc7f214d9ffe018c8f50e570491376408",
+        "837290d653616c5207903760e5dc3e89e0084cd4a720c493d14ca09f0176dad0",
 }
 
 
@@ -93,8 +95,10 @@ def report_digest(report, transform=lambda payload: payload) -> str:
 def test_seeded_report_digest_is_pinned(case):
     stream = synthetic_class_il_stream(**STREAM)
     report = run_class_il(stream, TrainConfig(**BASE, **CASES[case]))
-    assert report_digest(report) == DIGESTS[case]
-    assert report_digest(report, rounded) == ROUNDED_DIGESTS[case]
+    exact, rounded_digest = report_digest(report), report_digest(report, rounded)
+    assert exact == DIGESTS[case], f"exact digest of {case!r} is {exact}"
+    assert rounded_digest == ROUNDED_DIGESTS[case], \
+        f"rounded digest of {case!r} is {rounded_digest}"
 
 
 def test_balance_toy_counts_are_pinned():
@@ -103,9 +107,11 @@ def test_balance_toy_counts_are_pinned():
         h.update(strategy.encode())
         h.update(counts.tobytes())
     assert h.hexdigest() == \
-        "1ca740478e323fd662713925c92fc1a9fc627567850b1661e7ce64ec91e789ba"
+        "d2a6df9f4c1cbb397d91dc4b8a5d536e0381a17948fa7fbe490e5d73d17bf8f8", \
+        f"balance-toy digest is {h.hexdigest()}"
 
 
 def test_default_config_hash_is_pinned():
-    assert load_experiment_config(None, {}).config_hash() == \
-        "71de3391fc97589670c0fedd8fce15b750d2d3dc108dab1fc11d5d5bfbe6b1c0"
+    got = load_experiment_config(None, {}).config_hash()
+    assert got == "71de3391fc97589670c0fedd8fce15b750d2d3dc108dab1fc11d5d5bfbe6b1c0", \
+        f"default config hash is {got}"
