@@ -19,8 +19,10 @@ Stored items are copies of the offered raw rows, kept in preallocated
 arrays. All randomness flows through an injected ``numpy.random.Generator``:
 the reservoir strategies draw one uniform per item offered past the fill, in
 one call per batch; it decides admission and, for ``brs`` and ``lars``, the
-victim, so all three admit the same items. A buffer is owned by a single
-training run and mutated sequentially.
+victim, so all three admit the same items. ``brs`` and ``lars`` take a
+batch's victims from the buffer's class counts, counted once per batch and
+then kept up to date by hand after each eviction. A buffer is owned by a
+single training run and mutated sequentially.
 """
 
 from __future__ import annotations
@@ -107,12 +109,9 @@ class ReplayBuffer:
         """Slot indices currently holding an example, ascending."""
         return np.flatnonzero(self.labels >= 0)
 
-    def _label_counts(self) -> np.ndarray:
-        return np.bincount(self.labels[self.labels >= 0])
-
     def class_counts(self) -> dict[int, int]:
         """Number of stored items per class id (absent classes omitted)."""
-        counts = self._label_counts()
+        counts = np.bincount(self.labels[self.labels >= 0])
         present = np.flatnonzero(counts)
         return dict(zip(present.tolist(), counts[present].tolist()))
 
@@ -209,23 +208,37 @@ class ReplayBuffer:
         # pick each victim from it, in the buffer the items before it left.
         self.labels[seen:seen + fill] = labels[:fill]
         self.loss[seen:seen + fill] = losses[:fill]
-        for i in hit.tolist():
-            slot = self._victim_slot(float(w[i]) / capacity)
-            self.labels[slot] = labels[fill + i]
-            self.loss[slot] = losses[fill + i]
-            slots[fill + i] = slot
+        # The buffer is full from here on. Its class counts and their sum of
+        # squares are counted once and kept up to date across the victims:
+        # moving an item from class old to class new adds to the sum of
+        # squares 2 * (count[new] - count[old] + 1), counted before the move.
+        counts = np.bincount(self.labels, minlength=self.class_count)
+        sumsq = int(counts @ counts)
+        admitted = fill + hit
+        for i, u, new in zip(admitted.tolist(), (w[hit] / capacity).tolist(),
+                             labels[admitted].tolist()):
+            slot = self._victim_slot(u, counts, sumsq)
+            old = int(self.labels[slot])
+            if old != new:
+                sumsq += 2 * int(counts[new] - counts[old] + 1)
+                counts[old] -= 1
+                counts[new] += 1
+            self.labels[slot] = new
+            self.loss[slot] = losses[i]
+            slots[i] = slot
 
-    def _victim_slot(self, u: float) -> int:
+    def _victim_slot(self, u: float, counts: np.ndarray, sumsq: int) -> int:
         """The slot of the full buffer that the uniform ``u`` in [0, 1)
-        evicts, by inverse CDF."""
+        evicts, by inverse CDF, given the buffer's class ``counts`` and the
+        sum of their squares."""
+        per_slot = counts[self.labels]
         if self.strategy == BALANCED_RESERVOIR:
             # uniform over the slots of the most represented classes; the
             # incoming item is not stored yet, so its class is not counted
-            counts = self._label_counts()
-            eligible = np.flatnonzero(counts[self.labels] == counts.max())
+            eligible = (per_slot == counts.max()).nonzero()[0]
             return int(eligible[int(u * eligible.size)])
-        cdf = np.cumsum(lars_scores(self).probs)
-        return int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+        cdf = _lars_probs(per_slot, self.loss, sumsq)[2].cumsum()
+        return int((cdf / cdf[-1]).searchsorted(u, side="right"))
 
     def _ring_slots(self, labels, slots) -> None:
         if self._segment == 0:
@@ -265,11 +278,14 @@ class ReplayBuffer:
         losses = np.asarray(losses, dtype=float)
         if len(indices) != len(losses):
             raise ValueError("indices and losses must have the same length")
-        if indices.size and not np.issubdtype(indices.dtype, np.integer):
-            raise IndexError(f"slot indices must be integers, got dtype {indices.dtype}")
-        unfilled = ~np.isin(indices, self.filled_ids())
-        if unfilled.any():
-            raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
+        if indices.size:
+            if not np.issubdtype(indices.dtype, np.integer):
+                raise IndexError(f"slot indices must be integers, got dtype {indices.dtype}")
+            inside = (indices >= 0) & (indices < self.capacity)
+            unfilled = ~inside
+            unfilled[inside] = self.labels[indices[inside]] < 0
+            if unfilled.any():
+                raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
         _check_losses(losses)
         self.loss[indices.astype(np.int64)] = losses
 
@@ -297,19 +313,30 @@ def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:
     ids = buffer.filled_ids()
     if ids.size == 0:
         raise ValueError("cannot score an empty buffer")
-    labels = buffer.labels[ids]
-    s_balance = np.bincount(labels)[labels].astype(float)
-    s_loss = -buffer.loss[ids]
-    loss_mass = np.abs(s_loss).sum()
-    alpha = float(np.abs(s_balance).sum() / loss_mass) if loss_mass > 0 else 0.0
-    s = s_loss * alpha + s_balance
-    shifted = np.maximum(s - s.min(), 0.0)
+    labels, loss = buffer.labels[ids], buffer.loss[ids]
+    counts = np.bincount(labels)
+    s_balance = counts[labels].astype(float)
+    alpha, s, probs = _lars_probs(s_balance, loss, int(counts @ counts))
+    return ScoreVectors(s_balance=s_balance, s_loss=-loss, alpha=alpha, s=s, probs=probs)
+
+
+def _lars_probs(per_slot: np.ndarray, loss: np.ndarray, sumsq: int
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``alpha``, ``s`` and ``probs`` of the loss-aware rule, from each
+    filled slot's class count and stored loss; ``sumsq``, the sum of the
+    squared class counts, is the L1 mass of ``per_slot``.
+
+    Losses are >= 0, so ``loss.sum()`` is the L1 mass of the negated losses,
+    and ``per_slot - loss * alpha`` equals ``-loss * alpha + per_slot`` bit
+    for bit; ``s - s.min()`` is never negative.
+    """
+    loss_mass = loss.sum()
+    alpha = float(sumsq / loss_mass) if loss_mass > 0 else 0.0
+    s = per_slot - loss * alpha
+    shifted = s - s.min()
     total = shifted.sum()
-    if total > 0:
-        probs = shifted / total
-    else:
-        probs = np.full(len(s), 1.0 / len(s))
-    return ScoreVectors(s_balance=s_balance, s_loss=s_loss, alpha=alpha, s=s, probs=probs)
+    probs = shifted / total if total > 0 else np.full(len(s), 1.0 / len(s))
+    return alpha, s, probs
 
 
 def omission_probability(class_count: int, capacity: int) -> float:

@@ -1,5 +1,7 @@
 """Tests for the replay buffer strategies and their statistical guarantees."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -132,10 +134,12 @@ def offer_in_batches(strategy, capacity, class_count, sizes, seed=0):
     return buf, rng, np.concatenate(slots)
 
 
-def offer_by_reference(strategy, capacity, class_count, n, seed=0):
+def offer_by_reference(strategy, capacity, class_count, stream, seed=0):
     """The per-item rule, one scalar draw at a time, written into a buffer's
-    arrays by hand: the reference that batched offers must reproduce."""
-    features, labels, losses = seeded_stream(n, class_count, seed)
+    arrays by hand: the reference that batched offers must reproduce.
+    ``stream`` is (features, labels, losses) with 3 features per item."""
+    features, labels, losses = stream
+    n = len(labels)
     buf = ReplayBuffer(capacity, strategy, class_count=class_count)
     buf.features = np.empty((capacity, 3))
     rng = np.random.default_rng(seed)
@@ -155,8 +159,9 @@ def offer_by_reference(strategy, capacity, class_count, n, seed=0):
             if strategy == RESERVOIR:
                 slots[seen] = int(w)
             elif strategy == BALANCED_RESERVOIR:
-                count = [int(np.sum(buf.labels == c)) for c in buf.labels]
-                majority = [k for k in range(capacity) if count[k] == max(count)]
+                count = Counter(buf.labels.tolist())
+                most = max(count.values())
+                majority = [k for k, c in enumerate(buf.labels.tolist()) if count[c] == most]
                 slots[seen] = majority[int(u * len(majority))]
             else:
                 cdf = np.cumsum(lars_scores(buf).probs)
@@ -191,7 +196,8 @@ class TestBatchedUpdate:
             for other in (offer_in_batches(strategy, capacity, class_count,
                                            [1] * sum(sizes), seed),
                           offer_by_reference(strategy, capacity, class_count,
-                                             sum(sizes), seed)):
+                                             seeded_stream(sum(sizes), class_count, seed),
+                                             seed)):
                 buf, rng, slots = other
                 np.testing.assert_array_equal(b_slots, slots)
                 np.testing.assert_array_equal(batched.labels, buf.labels)
@@ -218,6 +224,28 @@ class TestBatchedUpdate:
             past_fill = slots[max(buf.capacity - a, 0):]
             assert np.count_nonzero(past_fill >= 0) >= 2
             assert rng.calls == expected
+
+    @pytest.mark.parametrize("strategy", [BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
+    def test_class_counts_built_once_per_update(self, strategy, monkeypatch):
+        # the victims of a batch share one bincount, however many there are
+        buf = ReplayBuffer(9, strategy, class_count=3)
+        features, labels, losses = seeded_stream(200, 3)
+        rng = np.random.default_rng(0)
+        buf.update(features[:9], labels[:9], losses[:9], rng)
+        calls = []
+        bincount = np.bincount
+
+        def counting_bincount(*args, **kwargs):
+            calls.append(args[0].size)
+            return bincount(*args, **kwargs)
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        victims = []
+        for a, b in ((9, 11), (11, 40), (40, 200)):
+            calls.clear()
+            victims.append(int(np.count_nonzero(buf.update(features[a:b], labels[a:b],
+                                                           losses[a:b], rng) >= 0)))
+            assert calls == [9]
+        assert len(set(victims)) == 3
 
     def test_capacity_zero_draws_nothing(self):
         for strategy in STRATEGIES:
@@ -255,6 +283,57 @@ class TestBatchedUpdate:
         assert slots.tolist() == [0, 2, 1, 0, 4, 1, 3]
         assert buf.features[:5, 0].tolist() == [3.0, 5.0, 1.0, 6.0, 4.0]
         assert buf.labels.tolist() == [0, 0, 1, 1, 2, -1]
+
+
+def replacements(slots, labels, capacity):
+    """How many admitted items replaced a stored item of their own class, and
+    how many one of another class."""
+    held, same, other = [-1] * capacity, 0, 0
+    for slot, label in zip(slots.tolist(), labels.tolist()):
+        if slot >= 0:
+            same += held[slot] == label
+            other += held[slot] not in (-1, label)
+            held[slot] = label
+    return same, other
+
+
+class TestWholeStreamBatch:
+    """A whole stream in one `update` call, with the victims' class counts
+    kept across all of it, leaves what the per-item reference leaves."""
+
+    @pytest.mark.parametrize("strategy", [BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
+    @pytest.mark.parametrize("case", ["balance-toy", "500-slots", "mostly-one-class"])
+    def test_matches_the_per_item_reference(self, strategy, case):
+        data = np.random.default_rng(7)
+        if case == "balance-toy":
+            # 6 classes of 170 items, shuffled, into 12 slots; zero losses
+            capacity, class_count = 12, 6
+            labels = data.permutation(np.repeat(np.arange(6), 170))
+            losses = np.zeros(labels.size)
+        elif case == "500-slots":
+            capacity, class_count = 500, 10
+            labels = data.integers(0, 10, size=3000)
+            losses = data.uniform(0.01, 3.0, size=3000)
+        else:
+            # nine items in ten are class 0, so most victims share the
+            # incoming item's class and leave the counts as they were
+            capacity, class_count = 8, 2
+            labels = (data.random(400) < 0.1).astype(np.int64)
+            losses = data.uniform(0.01, 3.0, size=400)
+        features = data.uniform(size=(labels.size, 3))
+        buf = ReplayBuffer(capacity, strategy, class_count)
+        rng = np.random.default_rng(3)
+        slots = buf.update(features, labels, losses, rng)
+        ref, ref_rng, ref_slots = offer_by_reference(strategy, capacity, class_count,
+                                                     (features, labels, losses), seed=3)
+        np.testing.assert_array_equal(slots, ref_slots)
+        np.testing.assert_array_equal(buf.labels, ref.labels)
+        np.testing.assert_array_equal(buf.loss, ref.loss)
+        np.testing.assert_array_equal(buf.features, ref.features)
+        assert buf.seen_count == ref.seen_count
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        same, other = replacements(slots, labels, capacity)
+        assert same > 0 and other > 0
 
 
 class TestBatchValidation:
@@ -529,8 +608,10 @@ class TestVictimFromUniform:
         buf = fill_buffer(strategy, labels=labels, losses=losses)
         if strategy == LOSS_AWARE_RESERVOIR:
             assert np.flatnonzero(lars_scores(buf).probs).tolist() == [1, 2, 3]
-        assert buf._victim_slot(0.0) == first
-        assert buf._victim_slot(float(np.nextafter(1.0, 0.0))) == last
+        counts = np.bincount(buf.labels, minlength=buf.class_count)
+        sumsq = int(counts @ counts)
+        assert buf._victim_slot(0.0, counts, sumsq) == first
+        assert buf._victim_slot(float(np.nextafter(1.0, 0.0)), counts, sumsq) == last
 
 
 class TestRefreshLossScores:
@@ -571,10 +652,18 @@ class TestRefreshLossScores:
         np.testing.assert_allclose(lars_scores(buf).probs, [5 / 12, 0, 5 / 12, 1 / 6],
                                    atol=1e-15)
 
-    def test_out_of_range_index_rejected(self):
-        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0], capacity=4)
-        with pytest.raises(IndexError):
-            buf.refresh_loss_scores([3], [0.5])
+    @pytest.mark.parametrize("indices, named", [
+        ([0, -1], -1),    # negative
+        ([4, 1], 4),      # equal to the capacity
+        ([1, 3], 3),      # an empty slot of the part-filled buffer
+        ([2, 5], 2),      # the first offending index is the one named
+        ([-5, 3], -5),
+    ])
+    def test_out_of_range_index_rejected(self, indices, named):
+        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0, 1], losses=[5.0, 5.0], capacity=4)
+        with pytest.raises(IndexError, match=f"^slot {named} is not a filled buffer slot$"):
+            buf.refresh_loss_scores(indices, [0.5, 0.5])
+        assert buf.loss.tolist() == [5.0, 5.0, 0.0, 0.0]
 
     def test_negative_loss_rejected(self):
         buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[0], capacity=4)
