@@ -37,14 +37,18 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Feature matrix in [0, 1] with integer labels below ``class_count``."""
+    """Feature matrix with integer labels below ``class_count``. Features
+    are uint8 pixels, kept as they are and read as k / 255 by
+    ``Mlp.forward``, or floats in [0, 1]; any other dtype is cast to float."""
 
     features: np.ndarray
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = np.asarray(self.features)
+        if self.features.dtype != np.uint8:
+            self.features = self.features.astype(float, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("features must be a (n, d) matrix")
@@ -52,7 +56,8 @@ class Dataset:
             raise ValueError("labels length does not match features")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("labels must lie in [0, class_count)")
-        if self.features.size and (self.features.min() < 0.0 or self.features.max() > 1.0):
+        if (self.features.dtype != np.uint8 and self.features.size
+                and (self.features.min() < 0.0 or self.features.max() > 1.0)):
             raise ValueError("feature values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -127,14 +132,19 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 def _to_idx(values: np.ndarray, magic: int) -> bytes:
     if values.ndim != magic & 0xFF:
         raise ValueError(f"expected {magic & 0xFF} dimensions, got shape {values.shape}")
+    if values.size and (values.min() < 0 or values.max() > 255):
+        raise ValueError(f"values in [{values.min()}, {values.max()}] do not fit a byte")
     header = struct.pack(f">{1 + values.ndim}I", magic, *values.shape)
     return header + values.astype(np.uint8).tobytes()
 
 
 def to_idx_images(images: np.ndarray) -> bytes:
     """Inverse of ``parse_idx_images`` for tensors whose values are integer
-    multiples of 1/255 (round-trips bit-exactly)."""
-    return _to_idx(np.rint(np.asarray(images) * 255.0), IDX_IMAGE_MAGIC)
+    multiples of 1/255 (round-trips bit-exactly). uint8 pixels, as
+    ``load_fashion_mnist`` returns them, are written as they are."""
+    images = np.asarray(images)
+    return _to_idx(images if images.dtype == np.uint8 else np.rint(images * 255.0),
+                   IDX_IMAGE_MAGIC)
 
 
 def to_idx_labels(labels: np.ndarray) -> bytes:
@@ -157,7 +167,8 @@ def read_idx_file(path) -> bytes:
 def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load the four standard Fashion-MNIST IDX files from ``data_dir``.
 
-    Accepts either plain or .gz files. Images are flattened to 784-vectors.
+    Accepts either plain or .gz files. Images are flattened to 784-vectors
+    of the file's uint8 pixels; ``Mlp.forward`` divides them by 255.
     Raises ``IdxFormatError``, naming the file, when a file is not well-formed
     (gzip) IDX, and unless every image is 28x28, every label is a class id
     below 10 and each split holds every class.
@@ -170,17 +181,17 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
                 return candidate
         raise FileNotFoundError(f"missing {name}[.gz] in {data_dir}")
 
-    def parse(parser, path: Path) -> np.ndarray:
+    def parse(path: Path, magic: int) -> np.ndarray:
         blob = read_idx_file(path)
         try:
-            return parser(blob)
+            return _parse_idx(blob, magic)
         except IdxFormatError as exc:
             raise IdxFormatError(f"{path}: {exc}") from None
 
     def load_split(images_name: str, labels_name: str) -> Dataset:
         images_path, labels_path = find(images_name), find(labels_name)
-        images = parse(parse_idx_images, images_path)
-        labels = parse(parse_idx_labels, labels_path)
+        images = parse(images_path, IDX_IMAGE_MAGIC)
+        labels = parse(labels_path, IDX_LABEL_MAGIC)
         if images.shape[1:] != FASHION_MNIST_IMAGE_DIMS[:2]:
             raise IdxFormatError(f"{images_path}: images are {images.shape[1]}x"
                                  f"{images.shape[2]}, expected 28x28")
@@ -191,7 +202,8 @@ def load_fashion_mnist(data_dir) -> tuple[Dataset, Dataset]:
         if bad.size:
             raise IdxFormatError(f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} "
                                  f"is not a class id below {FASHION_MNIST_CLASSES}")
-        missing = np.setdiff1d(np.arange(FASHION_MNIST_CLASSES), labels)
+        # a count, not np.setdiff1d, whose first call imports numpy.ma (about 20 ms)
+        missing = np.flatnonzero(np.bincount(labels, minlength=FASHION_MNIST_CLASSES) == 0)
         if missing.size:
             raise IdxFormatError(f"{labels_path}: no item of class {missing[0]}; "
                                  f"each split needs all {FASHION_MNIST_CLASSES} classes")

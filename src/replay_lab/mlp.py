@@ -1,7 +1,9 @@
 """From-scratch fully-connected ReLU network with a linear classification
 head, softmax cross-entropy, exact analytic gradients, and plain SGD.
 
-Everything is float64 numpy; there is no momentum, weight decay, or dropout.
+Everything is float64 numpy, except that ``forward`` also takes uint8
+pixels, which it reads as k / 255; there is no momentum, weight decay, or
+dropout.
 ``backward`` writes the gradients of one batch into preallocated slots,
 overwriting what was there, and ``sgd_step`` applies them.
 """
@@ -55,10 +57,13 @@ class Mlp:
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Compute logits for a (batch, input_dim) matrix.
 
+        uint8 inputs are pixels: each k is read as the float k / 255.0, the
+        one place where image data is scaled. Other inputs are cast to float.
         Returns the logits and a cache of pre- and post-activation values
         needed by ``backward``. Pure: no model state is touched.
         """
-        x = np.atleast_2d(np.asarray(inputs, dtype=float))
+        x = np.atleast_2d(np.asarray(inputs))
+        x = x / 255.0 if x.dtype == np.uint8 else x.astype(float, copy=False)
         if x.shape[1] != self.layer_dims[0]:
             raise ValueError(
                 f"input dim {x.shape[1]} does not match layer_dims[0]={self.layer_dims[0]}")

@@ -143,9 +143,10 @@ class ReplayBuffer:
 
         The whole batch is validated before anything is written: labels
         must be integers in ``[0, class_count)``, losses must be finite and
-        >= 0, and there must be one feature row per label, shaped like the
-        stored rows. ``last_insert_slot`` is the slot of the batch's last
-        item, or None; it is kept for the benchmark's tracer.
+        >= 0, and there must be one feature row per label, with the shape
+        and dtype of the stored rows. ``last_insert_slot`` is the slot of
+        the batch's last item, or None; it is kept for the benchmark's
+        tracer.
         """
         features = np.asarray(features)
         labels = np.asarray(labels)
@@ -156,9 +157,14 @@ class ReplayBuffer:
                              "must hold one value per item")
         if len(features) != n:
             raise ValueError(f"{len(features)} feature rows for {n} labels")
-        if self.features is not None and features.shape[1:] != self.features.shape[1:]:
-            raise ValueError(f"feature rows of shape {features.shape[1:]}, "
-                             f"stored rows are {self.features.shape[1:]}")
+        if self.features is not None:
+            if features.shape[1:] != self.features.shape[1:]:
+                raise ValueError(f"feature rows of shape {features.shape[1:]}, "
+                                 f"stored rows are {self.features.shape[1:]}")
+            # a cast on assignment would, say, truncate k / 255 floats to uint8 0
+            if features.dtype != self.features.dtype:
+                raise ValueError(f"feature rows of dtype {features.dtype}, "
+                                 f"stored rows are {self.features.dtype}")
         if n:
             if labels.dtype.kind not in "iu":
                 raise ValueError(f"labels must be integers, got dtype {labels.dtype}")

@@ -161,6 +161,16 @@ class TestReplayWithIba:
         for row, original in zip(buf.features, originals):
             np.testing.assert_array_equal(row, original)
 
+    def test_uint8_buffer_draws_stay_uint8(self):
+        buf = ReplayBuffer(4, "reservoir", class_count=3)
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 256, size=(4, 36), dtype=np.uint8)
+        buf.update(pixels, np.arange(4) % 3, np.zeros(4), rng)
+        policy = AugPolicy(image_dims=(6, 6, 1), max_shift=2, hflip_prob=0.5)
+        _, feats, _ = replay_with_iba(buf, 8, policy, rng, rng)
+        assert feats.dtype == np.uint8
+        assert set(np.unique(feats)) <= set(np.unique(pixels)) | {0}
+
     def test_separate_augmentation_stream_keeps_draws_aligned(self):
         # same draw rng, different aug rng: slot ids must match exactly
         buf = filled_buffer(5, 16, seed=3)

@@ -73,6 +73,20 @@ class TestParseIdxLabels:
             Dataset(np.zeros((1, 4)), np.array([11]), class_count=10)
 
 
+class TestDatasetFeatures:
+    def test_uint8_features_are_kept_as_they_are(self):
+        pixels = np.array([[0, 128, 255]], dtype=np.uint8)
+        assert Dataset(pixels, [0], class_count=1).features is pixels
+
+    @pytest.mark.parametrize("features", [[[0.0, 1.5]], [[-0.1, 0.5]], [[0, 255]]])
+    def test_other_features_outside_unit_interval_rejected(self, features):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Dataset(np.array(features), [0], class_count=1)
+
+    def test_other_dtypes_are_cast_to_float(self):
+        assert Dataset(np.array([[0, 1]]), [0], class_count=1).features.dtype == np.float64
+
+
 class TestIdxRoundTrip:
     def test_images_round_trip_bit_identically(self):
         rng = np.random.default_rng(0)
@@ -80,6 +94,18 @@ class TestIdxRoundTrip:
         parsed = parse_idx_images(idx_images_bytes(5, 4, 3, raw.ravel().tolist()))
         reparsed = parse_idx_images(to_idx_images(parsed))
         np.testing.assert_array_equal(parsed, reparsed)
+
+    def test_uint8_pixels_are_written_as_they_are(self):
+        raw = np.random.default_rng(1).integers(0, 256, size=(3, 4, 2), dtype=np.uint8)
+        raw[0, 0, :2] = [1, 255]
+        assert to_idx_images(raw) == idx_images_bytes(3, 4, 2, raw.ravel().tolist())
+
+    @pytest.mark.parametrize("write, values", [(to_idx_images, np.full((1, 1, 2), 1.5)),
+                                               (to_idx_images, np.full((1, 1, 2), -0.2)),
+                                               (to_idx_labels, np.array([3, 256]))])
+    def test_values_that_do_not_fit_a_byte_rejected(self, write, values):
+        with pytest.raises(ValueError, match="do not fit a byte"):
+            write(values)
 
     def test_labels_round_trip(self):
         labels = np.array([3, 1, 4, 1, 5], dtype=np.int64)
@@ -132,6 +158,23 @@ class TestLoadFashionMnist:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_fashion_mnist(tmp_path)
+
+    def test_pixels_stay_uint8_and_scale_to_the_float_parser(self, tmp_path):
+        write_fake_fashion_mnist(tmp_path)
+        train, test = load_fashion_mnist(tmp_path)
+        for split, prefix in ((train, "train"), (test, "t10k")):
+            assert split.features.dtype == np.uint8
+            parsed = parse_idx_images(read_idx_file(tmp_path / f"{prefix}-images-idx3-ubyte"))
+            assert parsed.dtype == np.float64
+            scaled = split.features / 255.0
+            assert scaled.tobytes() == parsed.reshape(len(split), -1).tobytes()
+
+    def test_task_splits_stay_uint8(self, tmp_path):
+        write_fake_fashion_mnist(tmp_path)
+        stream = make_class_il_tasks(*load_fashion_mnist(tmp_path), 2, np.random.default_rng(0))
+        for task in stream.tasks:
+            assert task.train_features.dtype == np.uint8
+            assert task.test_features.dtype == np.uint8
 
 
 class TestMakeClassIlTasks:

@@ -90,6 +90,28 @@ class TestForward:
         with pytest.raises(ValueError):
             tiny_model([4, 2]).forward(np.zeros((3, 5)))
 
+    def test_uint8_pixels_are_read_as_k_over_255_bitwise(self):
+        model = tiny_model([6, 5, 3], seed=5)
+        pixels = np.random.default_rng(3).integers(0, 256, size=(4, 6), dtype=np.uint8)
+        pixels[0, :2] = [0, 255]
+        logits, cache = model.forward(pixels)
+        ref_logits, ref_cache = model.forward(pixels / 255.0)
+        assert cache["activations"][0].dtype == np.float64
+        assert cache["activations"][0].tobytes() == ref_cache["activations"][0].tobytes()
+        assert logits.tobytes() == ref_logits.tobytes()
+        dlogits = np.random.default_rng(4).normal(size=logits.shape)
+        model.backward(cache, dlogits)
+        grads = model.grads.copy()
+        model.backward(ref_cache, dlogits)
+        assert grads.tobytes() == model.grads.tobytes()
+
+    def test_float_inputs_pass_through_unscaled(self):
+        model = tiny_model([6, 2], seed=6)
+        x = np.random.default_rng(5).integers(0, 256, size=(3, 6)).astype(float)
+        logits, cache = model.forward(x)
+        assert cache["activations"][0] is x
+        np.testing.assert_array_equal(logits, x @ model.weights[0] + model.biases[0])
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):

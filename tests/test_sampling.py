@@ -349,6 +349,7 @@ class TestBatchValidation:
         "infinite loss": dict(losses=[0.5] * 5 + [float("inf")]),
         "one row short": dict(features=np.ones((5, 2))),
         "rows of another shape": dict(features=np.ones((6, 3))),
+        "rows of another dtype": dict(features=np.ones((6, 2), dtype=np.uint8)),
         "losses of another length": dict(losses=[0.5] * 5),
     }
 
@@ -370,6 +371,17 @@ class TestBatchValidation:
         np.testing.assert_array_equal(buf.loss, before[2])
         assert (buf.seen_count, buf.last_insert_slot) == before[3:5]
         assert rng.bit_generator.state == before[5]
+
+    def test_float_rows_offered_to_uint8_rows_are_rejected_naming_both(self):
+        # assigning k / 255 floats to uint8 slots would truncate them to 0
+        buf = ReplayBuffer(4, RESERVOIR, class_count=3)
+        rng = np.random.default_rng(0)
+        buf.update(np.full((2, 2), 255, dtype=np.uint8), [0, 1], [1.0, 1.0], rng)
+        with pytest.raises(ValueError, match="dtype float64, stored rows are uint8"):
+            buf.update(np.ones((2, 2)), [0, 1], [1.0, 1.0], rng)
+        assert buf.features.dtype == np.uint8
+        np.testing.assert_array_equal(buf.features[:2], 255)
+        assert buf.seen_count == 2
 
 
 class TestReservoir:

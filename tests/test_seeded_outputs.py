@@ -12,6 +12,10 @@ significant digits. A change that only reorders float summation moves the
 exact digests but not the rounded ones, so the pair tells "only rounding
 moved" apart from "a number moved".
 
+One more case runs the image path end to end: 28x28 IDX files that the
+test writes, read by ``load_fashion_mnist``, split into tasks and trained
+with shift and flip augmentation on the stream and on every replay draw.
+
 Two more pins cover what no report reaches: the count matrices of the
 buffer-balance study and the hash of the default configuration. A failing
 pin prints the digest it got, so a re-pin reads the new value from the
@@ -20,11 +24,13 @@ failure message.
 
 import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from replay_lab.cli import balance_toy, load_experiment_config
-from replay_lab.datasets import synthetic_class_il_stream
+from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream
 from replay_lab.trainer import TrainConfig, run_class_il
 
 STREAM = dict(class_count=6, per_class_train=40, per_class_test=15,
@@ -42,6 +48,10 @@ CASES = {
                            aug_hflip_prob=0.5, image_dims=(4, 4, 1)),
 }
 
+IDX_CASE = "idx-iba-bic-elrd"
+IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_max_shift=2,
+                  aug_hflip_prob=0.5, image_dims=(28, 28, 1))
+
 DIGESTS = {
     "reservoir":
         "d2825c90188a10bb1c1309e7a9699d871947c5398360664fb92d242b451c6272",
@@ -55,6 +65,8 @@ DIGESTS = {
         "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
     "iba-stream-aug":
         "f8757c76987cb664e26644fc26cb36d9d5aa02249f213fb53f028a8f1a01efa6",
+    IDX_CASE:
+        "9db0b1adf6f2f6a839793d0c243bb84bc3edd6fb31d3277523468bdbc5c80a65",
 }
 
 ROUNDED_DIGESTS = {
@@ -70,6 +82,8 @@ ROUNDED_DIGESTS = {
         "02d9e248023c0696777364ec640acc4b71ad039072d507b3346d17d3abfcd7ab",
     "iba-stream-aug":
         "837290d653616c5207903760e5dc3e89e0084cd4a720c493d14ca09f0176dad0",
+    IDX_CASE:
+        "581b585d78089b6b8c308d2a73d64eab42f48bde82efae243ade7f6be6c94563",
 }
 
 
@@ -99,6 +113,35 @@ def test_seeded_report_digest_is_pinned(case):
     assert exact == DIGESTS[case], f"exact digest of {case!r} is {exact}"
     assert rounded_digest == ROUNDED_DIGESTS[case], \
         f"rounded digest of {case!r} is {rounded_digest}"
+
+
+def write_idx_images(path, labels, rng):
+    """28x28 images: one random two-level template per class plus noise,
+    clipped so that both 0 and 255 occur."""
+    templates = np.random.default_rng(7).integers(0, 2, size=(10, 784)) * 230
+    pix = np.clip(templates[labels] + rng.integers(-20, 40, size=(len(labels), 784)), 0, 255)
+    path.write_bytes(struct.pack(">IIII", 0x00000803, len(labels), 28, 28)
+                     + pix.astype(np.uint8).tobytes())
+
+
+def write_idx_labels(path, labels):
+    path.write_bytes(struct.pack(">II", 0x00000801, len(labels))
+                     + labels.astype(np.uint8).tobytes())
+
+
+def test_idx_image_report_digest_is_pinned(tmp_path):
+    rng = np.random.default_rng(5)
+    for prefix, n in (("train", 80), ("t10k", 30)):
+        labels = np.tile(np.arange(10), n // 10)
+        write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte", labels, rng)
+        write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte", labels)
+    train, test = load_fashion_mnist(tmp_path)
+    stream = make_class_il_tasks(train, test, 2, np.random.default_rng(11))
+    report = run_class_il(stream, TrainConfig(**BASE, **IDX_CONFIG))
+    exact, rounded_digest = report_digest(report), report_digest(report, rounded)
+    assert exact == DIGESTS[IDX_CASE], f"exact digest of {IDX_CASE!r} is {exact}"
+    assert rounded_digest == ROUNDED_DIGESTS[IDX_CASE], \
+        f"rounded digest of {IDX_CASE!r} is {rounded_digest}"
 
 
 def test_balance_toy_counts_are_pinned():

@@ -100,6 +100,21 @@ class TestErTrainStep:
         assert info.replay_loss == 0.0
         np.testing.assert_array_equal(state.model.params, reference.params)
 
+    @pytest.mark.parametrize("iba", [False, True])
+    def test_uint8_stream_keeps_uint8_buffer_rows(self, iba):
+        labels = np.repeat(np.arange(4), 5)
+        pixels = np.random.default_rng(1).integers(0, 256, size=(20, 16), dtype=np.uint8)
+        data = Dataset(pixels, labels, 4)
+        stream = make_class_il_tasks(data, data, 2, np.random.default_rng(2))
+        config = small_config(iba=iba, aug_stream_enabled=True, aug_max_shift=1,
+                              aug_hflip_prob=0.5, image_dims=(4, 4, 1))
+        state = init_state(stream, config)
+        task = stream.tasks[0]
+        for rows in (slice(0, 5), slice(5, 10)):
+            er_train_step(state, task.train_features[rows], task.train_labels[rows], config)
+        assert state.buffer.features.dtype == np.uint8
+        assert np.isfinite(state.model.params).all()
+
     def test_one_pass_step_matches_two_pass_reference(self, monkeypatch):
         stream = small_stream()
         config = small_config(hidden_dims=(8, 6))
