@@ -174,7 +174,7 @@ def load_experiment_config(path: str | None, overrides: dict) -> ExperimentConfi
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         values.update(parse_config_text(text))
     values.update(overrides)
@@ -313,10 +313,7 @@ def cmd_run(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
-    try:
-        steps = ablation_configs(train_config_from_experiment(cfg, cfg["seeds"][0]))
-    except ValueError as exc:
-        raise ConfigError(f"ablation rows: {exc}") from exc
+    steps = ablation_configs(train_config_from_experiment(cfg, cfg["seeds"][0]))
     out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v1")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()

@@ -132,8 +132,12 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 def _to_idx(values: np.ndarray, magic: int) -> bytes:
     if values.ndim != magic & 0xFF:
         raise ValueError(f"expected {magic & 0xFF} dimensions, got shape {values.shape}")
-    if values.size and (values.min() < 0 or values.max() > 255):
+    # a NaN fails both comparisons, so it lands here too
+    if values.size and not (values.min() >= 0 and values.max() <= 255):
         raise ValueError(f"values in [{values.min()}, {values.max()}] do not fit a byte")
+    whole = values == np.rint(values)
+    if not whole.all():
+        raise ValueError(f"value {values[~whole][0]} is not an integer, so does not fit a byte")
     header = struct.pack(f">{1 + values.ndim}I", magic, *values.shape)
     return header + values.astype(np.uint8).tobytes()
 

@@ -79,7 +79,7 @@ def buffer_balance_mse(buffer: ReplayBuffer) -> float:
     Classes with zero stored items count too. Meaningful as the balance
     statistic once the buffer is full.
     """
-    counts = np.bincount(buffer.labels[buffer.labels >= 0], minlength=buffer.class_count)
+    counts = np.bincount(buffer.labels[:buffer.n_filled], minlength=buffer.class_count)
     return float(np.mean((counts - buffer.capacity / buffer.class_count) ** 2))
 
 

@@ -13,7 +13,8 @@ strategies are supported:
 * ``lars``           -- loss-aware balanced reservoir sampling: eviction
   probabilities combine per-item class counts with negated stored training
   losses, so well-fit items from crowded classes go first.
-* ``ring``           -- class-wise FIFO segments of size capacity // classes.
+* ``ring``           -- class-wise FIFO: each class keeps its newest
+  capacity // classes items (kept for the balance study).
 
 Stored items are copies of the offered raw rows, kept in preallocated
 arrays. All randomness flows through an injected ``numpy.random.Generator``:
@@ -65,13 +66,9 @@ class ReplayBuffer:
       item (used only by the loss-aware strategy; refreshed whenever the
       item is drawn for replay).
 
-    Every stored label lies in ``[0, class_count)``; the filled slots are
-    those with ``labels >= 0``. ``seen_count`` tracks how many stream items
-    have been offered; the reservoir-family strategies fill slots
-    ``0..capacity-1`` in order, so the number of filled slots is
-    ``min(seen_count, capacity)``. The ring strategy instead keeps one FIFO
-    segment of ``capacity // class_count`` slots per class (remainder slots
-    stay unused), so its fill pattern is not contiguous.
+    Every stored label lies in ``[0, class_count)``. For every strategy the
+    filled slots are ``0..n_filled-1``; the slots after them hold label
+    ``-1``. ``seen_count`` tracks how many stream items have been offered.
 
     Capacity 0 is the degenerate no-rehearsal buffer: updates only advance
     ``seen_count``.
@@ -92,40 +89,33 @@ class ReplayBuffer:
         self.features: np.ndarray | None = None
         self.labels = np.full(capacity, -1, dtype=np.int64)
         self.loss = np.zeros(capacity)
-        self._segment = capacity // class_count
+        self.n_filled = 0
+        # ring: the slot of each class's k-th item, k < capacity // class_count
+        self._ring_table = np.zeros((class_count, capacity // class_count), dtype=np.int64)
         self._ring_next = np.zeros(class_count, dtype=np.int64)
 
     # -- inspection ---------------------------------------------------------
 
     @property
-    def n_filled(self) -> int:
-        return int(np.count_nonzero(self.labels >= 0))
-
-    @property
     def is_full(self) -> bool:
         return self.n_filled == self.capacity
 
-    def filled_ids(self) -> np.ndarray:
-        """Slot indices currently holding an example, ascending."""
-        return np.flatnonzero(self.labels >= 0)
-
     def class_counts(self) -> dict[int, int]:
         """Number of stored items per class id (absent classes omitted)."""
-        counts = np.bincount(self.labels[self.labels >= 0])
+        counts = np.bincount(self.labels[:self.n_filled])
         present = np.flatnonzero(counts)
         return dict(zip(present.tolist(), counts[present].tolist()))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the stored features and labels as (n, d) / (n,) arrays."""
-        ids = self.filled_ids()
-        if ids.size == 0:
+        if self.n_filled == 0:
             raise ValueError("buffer is empty")
-        return self.features[ids], self.labels[ids]
+        return self.features[:self.n_filled].copy(), self.labels[:self.n_filled].copy()
 
     def audit(self) -> list[tuple[int, int, float]]:
         """(slot id, label, loss score) triples for run-report serialization."""
-        ids = self.filled_ids()
-        return list(zip(ids.tolist(), self.labels[ids].tolist(), self.loss[ids].tolist()))
+        n = self.n_filled
+        return list(zip(range(n), self.labels[:n].tolist(), self.loss[:n].tolist()))
 
     # -- updates ------------------------------------------------------------
 
@@ -200,6 +190,7 @@ class ReplayBuffer:
         seen, n, capacity = self.seen_count, labels.size, self.capacity
         fill = min(max(capacity - seen, 0), n)
         slots[:fill] = np.arange(seen, seen + fill)
+        self.n_filled += fill
         if fill == n:
             return
         # Item i of the batch is offer number seen + i + 1: w is uniform on
@@ -247,14 +238,21 @@ class ReplayBuffer:
         return int((cdf / cdf[-1]).searchsorted(u, side="right"))
 
     def _ring_slots(self, labels, slots) -> None:
-        if self._segment == 0:
+        segment = self._ring_table.shape[1]
+        if segment == 0:
             return
-        # each item's position among the batch's items of its class
+        # k: each item's position among all items of its class offered so far
         counts = np.bincount(labels, minlength=self.class_count)
         order = np.argsort(labels, kind="stable")
-        rank = np.empty_like(labels)
-        rank[order] = np.arange(labels.size) - (np.cumsum(counts) - counts)[labels[order]]
-        slots[:] = labels * self._segment + (self._ring_next[labels] + rank) % self._segment
+        k = np.empty_like(labels)
+        k[order] = np.arange(labels.size) - (np.cumsum(counts) - counts)[labels[order]]
+        k += self._ring_next[labels]
+        # a class's first `segment` items take the next free slots in stream
+        # order; each later item takes the slot of the item `segment` before it
+        first = (k < segment).nonzero()[0]
+        self._ring_table[labels[first], k[first]] = self.n_filled + np.arange(first.size)
+        self.n_filled += first.size
+        slots[:] = self._ring_table[labels, k % segment]
         self._ring_next += counts
 
     # -- replay -------------------------------------------------------------
@@ -267,10 +265,9 @@ class ReplayBuffer:
         refreshed loss scores back to the right slots. The features are
         copies of the stored rows; any augmentation happens downstream.
         """
-        ids = self.filled_ids()
-        if ids.size == 0:
+        if self.n_filled == 0:
             raise ValueError("cannot draw from an empty buffer")
-        chosen = ids[rng.integers(0, ids.size, size=batch_size)]
+        chosen = rng.integers(0, self.n_filled, size=batch_size)
         return chosen, self.features[chosen], self.labels[chosen]
 
     def refresh_loss_scores(self, indices, losses) -> None:
@@ -287,9 +284,7 @@ class ReplayBuffer:
         if indices.size:
             if not np.issubdtype(indices.dtype, np.integer):
                 raise IndexError(f"slot indices must be integers, got dtype {indices.dtype}")
-            inside = (indices >= 0) & (indices < self.capacity)
-            unfilled = ~inside
-            unfilled[inside] = self.labels[indices[inside]] < 0
+            unfilled = (indices < 0) | (indices >= self.n_filled)
             if unfilled.any():
                 raise IndexError(f"slot {indices[unfilled][0]} is not a filled buffer slot")
         _check_losses(losses)
@@ -316,10 +311,9 @@ def lars_scores(buffer: ReplayBuffer) -> ScoreVectors:
     normalization is undefined; instead the scores are shifted by their
     minimum and normalized, falling back to uniform when all entries tie.
     """
-    ids = buffer.filled_ids()
-    if ids.size == 0:
+    if buffer.n_filled == 0:
         raise ValueError("cannot score an empty buffer")
-    labels, loss = buffer.labels[ids], buffer.loss[ids]
+    labels, loss = buffer.labels[:buffer.n_filled], buffer.loss[:buffer.n_filled]
     counts = np.bincount(labels)
     s_balance = counts[labels].astype(float)
     alpha, s, probs = _lars_probs(s_balance, loss, int(counts @ counts))

@@ -25,7 +25,7 @@ from .datasets import Task, TaskStream
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
 from .mlp import Mlp, softmax_cross_entropy
-from .sampling import BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, ReplayBuffer
+from .sampling import BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR, ReplayBuffer
 from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 
 TRICK_TOKENS = ("iba", "bic", "cbic", "elrd", "brs", "lars")
@@ -53,7 +53,6 @@ class TrainConfig:
     brs: bool = False
     lars: bool = False
     decay_fraction: float = 1.0 / 6.0
-    base_strategy: str = "reservoir"
     replay_enabled: bool = True
     aug_max_shift: int = 0
     aug_hflip_prob: float = 0.0
@@ -81,10 +80,6 @@ class TrainConfig:
             raise ValueError("brs and lars are mutually exclusive")
         if self.bic and self.cbic:
             raise ValueError("bic and cbic are mutually exclusive")
-        if self.base_strategy not in ("reservoir", "ring"):
-            raise ValueError(f"base_strategy must be 'reservoir' or 'ring', got {self.base_strategy!r}")
-        if self.base_strategy == "ring" and (self.brs or self.lars):
-            raise ValueError("ring buffer cannot be combined with brs/lars")
         if self.bias_epochs < 0:
             raise ValueError("bias_epochs must be >= 0")
         if self.bias_batch_size < 1:
@@ -100,7 +95,7 @@ class TrainConfig:
             return LOSS_AWARE_RESERVOIR
         if self.brs:
             return BALANCED_RESERVOIR
-        return self.base_strategy
+        return RESERVOIR
 
     def active_tricks(self) -> tuple[str, ...]:
         return tuple(t for t in TRICK_TOKENS if getattr(self, t))
@@ -380,8 +375,7 @@ def ablation_configs(base_config: TrainConfig) -> list[tuple[str, TrainConfig]]:
     balanced rule for the loss-aware one (the two are exclusive by
     construction). The +iba row is skipped when the stream itself is not
     augmented, since re-augmenting buffer draws only makes sense alongside
-    stream augmentation. Raises ``ValueError`` when a row's combination is
-    invalid (a ring base buffer cannot take +brs).
+    stream augmentation.
     """
     cfg = baseline_config(base_config, buffer_capacity=base_config.buffer_capacity)
     steps: list[tuple[str, TrainConfig]] = [("er", cfg)]

@@ -249,7 +249,7 @@ def test_criterion_08_iba_contract():
         _train_one_task(state, task, config)
     raw_rows = {row.tobytes() for task in stream.tasks for row in task.train_features}
     assert state.buffer.n_filled > 0
-    for row in state.buffer.features[state.buffer.labels >= 0]:
+    for row in state.buffer.features[:state.buffer.n_filled]:
         assert row.tobytes() in raw_rows, \
             "buffer holds a feature vector that is not a raw stream item"
 

@@ -25,3 +25,20 @@ def test_tracer_installs_on_every_traced_name_and_counts_an_offer(monkeypatch):
     finally:
         tr.uninstall()
     assert ReplayBuffer.update is update
+
+
+def test_balance_toy_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # one round of the benchmark's balance-toy workload, checked as the
+    # benchmark checks it: a change to `ring` or `balance_toy` that the
+    # benchmark would refuse fails here too
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    monkeypatch.setattr(cli, "balance_toy", cli.balance_toy)   # restored after the test
+    job = workloads.BalanceToy(0, tmp_path)
+    assert job.prepare() == []
+    job.reuse_setup(cli)
+    assert cli.main(job.argv()) == 0
+    overlap, problems = job.check_round()
+    assert problems == []
+    assert 0.0 < overlap <= 1.0

@@ -84,7 +84,7 @@ class TestConfigParsing:
         overrides = {"buffer_capacity": 7, "replay_batch_size": 3, "stream_batch_size": 4,
                      "epochs_per_task": 2, "hidden_dims": (5, 6), "lr0": 0.3,
                      "decay_fraction": 0.5, "tricks": ("iba", "cbic", "elrd"),
-                     "base_strategy": "ring", "replay_enabled": False,
+                     "replay_enabled": False,
                      "aug.max_shift": 1, "aug.hflip_prob": 0.25,
                      "aug.stream_enabled": True, "image_dims": (4, 2, 1),
                      "bias.epochs": 9, "bias.batch_size": 11, "bias.lr": 0.2,
@@ -93,8 +93,7 @@ class TestConfigParsing:
         assert got == TrainConfig(
             buffer_capacity=7, replay_batch_size=3, stream_batch_size=4,
             epochs_per_task=2, hidden_dims=(5, 6), lr0=0.3, decay_fraction=0.5,
-            iba=True, cbic=True, elrd=True, base_strategy="ring",
-            replay_enabled=False, aug_max_shift=1, aug_hflip_prob=0.25,
+            iba=True, cbic=True, elrd=True, replay_enabled=False, aug_max_shift=1, aug_hflip_prob=0.25,
             aug_stream_enabled=True, image_dims=(4, 2, 1), bias_epochs=9,
             bias_batch_size=11, bias_lr=0.2, seed=5)
         # every field outside the unset tricks moved off its default
@@ -192,17 +191,17 @@ class TestCmdAblation:
         payload = json.loads((out / "ablation.json").read_text())
         assert len(payload["rows"]) == 5
 
-    def test_bad_row_combination_is_2_before_any_data_is_read(self, tmp_path, monkeypatch,
-                                                              capsys):
-        # a ring base buffer is a valid run setting, but the +brs row cannot take it
+    def test_base_strategy_is_an_unknown_key_before_any_data_is_read(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # training always uses a reservoir buffer; `ring` is left to balance-toy
         def no_data(cfg):
-            pytest.fail("data was read before the ablation rows were checked")
+            pytest.fail("data was read before the config was checked")
         monkeypatch.setattr(cli, "build_task_stream", no_data)
         cfg = write_config(tmp_path, TINY_CONFIG + "base_strategy = ring\n")
         out = tmp_path / "out"
         assert main(["ablation", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "ring buffer cannot be combined with brs/lars" in err
+        assert "config error" in err and "unknown config key 'base_strategy'" in err
         assert not out.exists()
 
 
@@ -325,6 +324,16 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("no_such_key = 1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_file_that_is_not_utf8_is_2_and_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seeds = 0\n\xff\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {bad}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_trick_is_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -107,6 +107,17 @@ class TestIdxRoundTrip:
         with pytest.raises(ValueError, match="do not fit a byte"):
             write(values)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("write, values, match", [
+        (to_idx_labels, np.array([1.5, 2.0]), "value 1.5 is not an integer"),
+        (to_idx_labels, np.array([np.nan, 1.0]), "do not fit a byte"),
+        (to_idx_images, np.array([[[np.nan, 0.5]]]), "do not fit a byte"),
+    ], ids=["fractional label", "NaN label", "NaN pixel"])
+    def test_values_that_are_not_bytes_rejected(self, write, values, match):
+        # a cast to uint8 would truncate 1.5 to 1 and turn NaN into 0
+        with pytest.raises(ValueError, match=match):
+            write(values)
+
     def test_labels_round_trip(self):
         labels = np.array([3, 1, 4, 1, 5], dtype=np.int64)
         np.testing.assert_array_equal(parse_idx_labels(to_idx_labels(labels)), labels)

@@ -20,18 +20,15 @@ def offer(buf, label, rng, loss=0.0, features=NO_FEATURES):
 
 
 def assert_buffer_invariants(buf):
-    """What every strategy keeps true after any sequence of offers."""
-    filled = buf.filled_ids()
-    assert buf.n_filled <= buf.capacity
-    assert np.all(buf.labels >= -1)
-    assert np.all(buf.labels[filled] < buf.class_count)
-    if buf.strategy == RING:
-        # each class owns segment [c * seg, (c + 1) * seg)
-        segment = buf.capacity // buf.class_count
-        assert np.all(buf.labels[filled] == filled // max(segment, 1))
-        assert segment > 0 or filled.size == 0
-    else:
-        np.testing.assert_array_equal(filled, np.arange(min(buf.seen_count, buf.capacity)))
+    """What every strategy keeps true after any sequence of offers: the
+    filled slots are a prefix, 0..n_filled-1, and the rest stay empty."""
+    assert isinstance(buf.n_filled, int)
+    assert 0 <= buf.n_filled <= buf.capacity
+    filled = buf.labels[:buf.n_filled]
+    assert np.all((filled >= 0) & (filled < buf.class_count))
+    assert np.all(buf.labels[buf.n_filled:] == -1)
+    if buf.strategy != RING:
+        assert buf.n_filled == min(buf.seen_count, buf.capacity)
 
 
 def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_count=CLASS_COUNT):
@@ -143,15 +140,18 @@ def offer_by_reference(strategy, capacity, class_count, stream, seed=0):
     buf = ReplayBuffer(capacity, strategy, class_count=class_count)
     buf.features = np.empty((capacity, 3))
     rng = np.random.default_rng(seed)
-    segment, ring_next = capacity // class_count, [0] * class_count
+    # ring: each class's item slots in arrival order; a class's first
+    # `segment` items take the next free slots, later ones reuse them
+    segment, ring = capacity // class_count, [[] for _ in range(class_count)]
     slots = np.full(n, -1)
     for seen in range(n):
         y = labels[seen]
         if capacity == 0 or (strategy == RING and segment == 0):
             continue
         if strategy == RING:
-            slots[seen] = y * segment + ring_next[y] % segment
-            ring_next[y] += 1
+            k = len(ring[y])
+            slots[seen] = buf.n_filled if k < segment else ring[y][k - segment]
+            ring[y].append(slots[seen])
         elif seen < capacity:
             slots[seen] = seen
         elif (w := rng.random() * (seen + 1)) < capacity:
@@ -170,6 +170,7 @@ def offer_by_reference(strategy, capacity, class_count, stream, seed=0):
             slot = slots[seen]
             buf.features[slot], buf.labels[slot], buf.loss[slot] = \
                 features[seen], y, losses[seen]
+            buf.n_filled = max(buf.n_filled, int(slot) + 1)
     buf.seen_count = n
     return buf, rng, slots
 
@@ -192,7 +193,7 @@ class TestBatchedUpdate:
             batched, b_rng, b_slots = offer_in_batches(strategy, capacity, class_count,
                                                        sizes, seed)
             assert_buffer_invariants(batched)
-            filled = batched.filled_ids()
+            filled = batched.n_filled
             for other in (offer_in_batches(strategy, capacity, class_count,
                                            [1] * sum(sizes), seed),
                           offer_by_reference(strategy, capacity, class_count,
@@ -202,9 +203,10 @@ class TestBatchedUpdate:
                 np.testing.assert_array_equal(b_slots, slots)
                 np.testing.assert_array_equal(batched.labels, buf.labels)
                 np.testing.assert_array_equal(batched.loss, buf.loss)
-                if filled.size:
-                    np.testing.assert_array_equal(batched.features[filled],
-                                                  buf.features[filled])
+                assert buf.n_filled == filled
+                if filled:
+                    np.testing.assert_array_equal(batched.features[:filled],
+                                                  buf.features[:filled])
                 assert batched.seen_count == buf.seen_count == sum(sizes)
                 assert b_rng.bit_generator.state == rng.bit_generator.state
 
@@ -277,12 +279,14 @@ class TestBatchedUpdate:
     def test_ring_keeps_the_newest_items_of_each_class(self):
         buf = ReplayBuffer(6, RING, class_count=3)
         labels = [0, 1, 0, 0, 2, 0, 1]
-        slots = buf.update(np.arange(7.0)[:, None], labels, [0.0] * 7,
-                           np.random.default_rng(0))
-        # segments of 2: class 0 wraps twice, class 2's second slot stays empty
-        assert slots.tolist() == [0, 2, 1, 0, 4, 1, 3]
-        assert buf.features[:5, 0].tolist() == [3.0, 5.0, 1.0, 6.0, 4.0]
-        assert buf.labels.tolist() == [0, 0, 1, 1, 2, -1]
+        buf.update(np.arange(7.0)[:, None], labels, [0.0] * 7, np.random.default_rng(0))
+        # segments of 2: class 0 keeps items 3 and 5, class 1 items 1 and 6,
+        # class 2 item 4; its second slot is never taken
+        assert buf.n_filled == 5
+        kept = sorted(zip(buf.labels[:5].tolist(), buf.features[:5, 0].tolist()))
+        assert kept == [(0, 3.0), (0, 5.0), (1, 1.0), (1, 6.0), (2, 4.0)]
+        assert buf.labels[5] == -1
+        assert_buffer_invariants(buf)
 
 
 def replacements(slots, labels, capacity):
@@ -689,9 +693,8 @@ class TestRing:
         rng = np.random.default_rng(0)
         for loss in (1.0, 2.0, 3.0):
             offer(buf, 0, rng, loss=loss)
-        stored = sorted(buf.loss[:2].tolist())
-        assert stored == [2.0, 3.0]
-        assert np.all(buf.labels[2:] == -1)
+        assert buf.n_filled == 2
+        assert sorted(buf.loss[:2].tolist()) == [2.0, 3.0]
         assert_buffer_invariants(buf)
 
     def test_one_item_per_class_fills_each_segment(self):
@@ -700,8 +703,7 @@ class TestRing:
         for c in range(5):
             offer(buf, c, rng)
         assert buf.n_filled == 5
-        for c in range(5):
-            assert buf.labels[2 * c] == c
+        assert buf.class_counts() == {c: 1 for c in range(5)}
         assert_buffer_invariants(buf)
 
     def test_underexploitation_after_first_task(self):
@@ -724,13 +726,16 @@ class TestRing:
         with pytest.raises(ValueError):
             ReplayBuffer(10, RING, class_count=0)
 
-    def test_mixed_stream_keeps_each_segment_to_its_class(self):
-        # 13 slots over 4 classes: segments of 3, slot 12 never used
+    def test_mixed_stream_keeps_the_newest_three_of_each_class(self):
+        # 13 slots over 4 classes: 3 items per class, slot 12 never used
         buf = ReplayBuffer(13, RING, class_count=4)
         rng = np.random.default_rng(6)
-        for label in rng.integers(0, 4, size=200):
-            offer(buf, int(label), rng)
-        assert buf.labels[12] == -1
+        labels = rng.integers(0, 4, size=200)
+        buf.update(np.arange(200.0)[:, None], labels, np.zeros(200), rng)
+        assert buf.n_filled == 12
+        for c in range(4):
+            newest = np.flatnonzero(labels == c)[-3:]
+            assert sorted(buf.features[:12, 0][buf.labels[:12] == c]) == newest.tolist()
         assert_buffer_invariants(buf)
 
 
@@ -764,9 +769,12 @@ class TestDrawReplayBatch:
         buf = ReplayBuffer(10, RING, class_count=5)
         rng = np.random.default_rng(0)
         offer(buf, 3, rng)
-        ids, _, labels = buf.draw_replay_batch(8, rng)
-        assert set(ids) == {6}
-        assert all(label == 3 for label in labels)
+        offer(buf, 1, rng)
+        # two of the ten slots are filled, and the draw stays in them
+        assert buf.n_filled == 2
+        ids, _, labels = buf.draw_replay_batch(40, rng)
+        assert set(ids.tolist()) == {0, 1}
+        assert set(labels.tolist()) == {1, 3}
 
 
 class TestOmissionProbability:

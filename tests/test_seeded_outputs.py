@@ -43,7 +43,6 @@ CASES = {
     "brs-cbic": dict(brs=True, cbic=True),
     "sgd-cbic": dict(replay_enabled=False, cbic=True),
     "lars-bic-elrd": dict(lars=True, bic=True, elrd=True),
-    "ring": dict(base_strategy="ring"),
     "iba-stream-aug": dict(iba=True, aug_stream_enabled=True, aug_max_shift=1,
                            aug_hflip_prob=0.5, image_dims=(4, 4, 1)),
 }
@@ -54,36 +53,32 @@ IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_ma
 
 DIGESTS = {
     "reservoir":
-        "d2825c90188a10bb1c1309e7a9699d871947c5398360664fb92d242b451c6272",
+        "13f75b0fe3a935c0b20fa3fef4fc09fcf6890043bd544eb874dfa74e1338b02a",
     "brs-cbic":
-        "ded78e0cf45e6759bbbf8b541c60a5126891aed6c537610952e53d45c0827e5c",
+        "85ddfa4c4e01fe4216f5afc1c6bf5619a0d8b6d24555daed208d5c0d036c9468",
     "sgd-cbic":
-        "65d8ad8c4cd2f0592f5a8e55736d2066635c56f83e3623e7b119dc1a7dd828e0",
+        "cdb8af9cbb0b7590c0e823b532cbb47e093ceea56b570c8c633ba253ce1c59a0",
     "lars-bic-elrd":
-        "212cda2cf6a1ad197040c0ee8714f396b03b5787a4bc79538d470cd1e7fc1d95",
-    "ring":
-        "1f8e12e685bcdb32d69ef8d812acfbe1cfd0cff5cabedc2764486323ba8b17be",
+        "2f558c17e41f2ec14869aa7ba030405e5e62f44f73654a3b2231f43b34f6d994",
     "iba-stream-aug":
-        "f8757c76987cb664e26644fc26cb36d9d5aa02249f213fb53f028a8f1a01efa6",
+        "bbcb89e4f3a4fb991480ce1a0fb4c47465807cbd409ff0356db972f042e7a48d",
     IDX_CASE:
-        "9db0b1adf6f2f6a839793d0c243bb84bc3edd6fb31d3277523468bdbc5c80a65",
+        "64ccc0857081bbc0e5446e793dcf2cecd5b8397a974dcd1b17300cdd97aaf43e",
 }
 
 ROUNDED_DIGESTS = {
     "reservoir":
-        "b660912df7be0376964344d7ac6dc295254814667a7189e7874c530718eb12b6",
+        "da809637dc5c0ca140eb015157b3be0b0f13ffffad6a23ac8b4793a73f36c087",
     "brs-cbic":
-        "e78509bddb1d1de58c54a2051c8565181dbbd4d5c4e4aaf37ac4e4ef9dd98a7b",
+        "8686c9ba66fd73c94f5c28786be1e43f02e9aafa1a178ce126231794030d6752",
     "sgd-cbic":
-        "1c14af96e2263ee58fd5c23508aa3e1aadf16c7d5110a51f95ee40fb728961e0",
+        "2f269886a8584d163e3ac616a27c66ff0aefa4c4ad252dd27dc51ce70f459feb",
     "lars-bic-elrd":
-        "f755ef8a671a17396458dc79c285efa78be2a381b64966b87021acbe53c49351",
-    "ring":
-        "02d9e248023c0696777364ec640acc4b71ad039072d507b3346d17d3abfcd7ab",
+        "e942a6d0aa5cb6db16cdcaf108d81cb68bf6e5c3de0cabe8f4a2db3943c4858e",
     "iba-stream-aug":
-        "837290d653616c5207903760e5dc3e89e0084cd4a720c493d14ca09f0176dad0",
+        "64a910aefad4f1dd9ff43b92ed8c8d359052483ceaa0a5b461394535901e7229",
     IDX_CASE:
-        "581b585d78089b6b8c308d2a73d64eab42f48bde82efae243ade7f6be6c94563",
+        "5d558aca7c848d73d95f849d2edc8b3601e319fe70dce6abd119f9f47d9963b7",
 }
 
 
@@ -156,5 +151,5 @@ def test_balance_toy_counts_are_pinned():
 
 def test_default_config_hash_is_pinned():
     got = load_experiment_config(None, {}).config_hash()
-    assert got == "71de3391fc97589670c0fedd8fce15b750d2d3dc108dab1fc11d5d5bfbe6b1c0", \
+    assert got == "e4744e5ece315dfc4d553c3f0ba280ec05012eddd58f38c1296e3c56d9deaff1", \
         f"default config hash is {got}"

@@ -54,10 +54,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(bic=True, cbic=True)
 
-    def test_ring_excludes_balancing_toggles(self):
-        with pytest.raises(ValueError):
-            small_config(base_strategy="ring", brs=True)
-
     @pytest.mark.parametrize("hidden_dims", [(0,), (8, 0), (-2,)])
     def test_hidden_layer_width_below_one_rejected(self, hidden_dims):
         with pytest.raises(ValueError, match="hidden_dims"):
@@ -73,7 +69,6 @@ class TestConfigValidation:
         assert small_config().strategy == "reservoir"
         assert small_config(brs=True).strategy == "brs"
         assert small_config(lars=True).strategy == "lars"
-        assert small_config(base_strategy="ring").strategy == "ring"
 
     def test_method_labels(self):
         assert method_label(small_config(buffer_capacity=0)) == "sgd"
@@ -329,7 +324,7 @@ class TestDataFlowIsolation:
         state, _ = run_training(stream, config)
         raw_rows = {row.tobytes()
                     for task in stream.tasks for row in task.train_features}
-        stored = {row.tobytes() for row in state.buffer.features[state.buffer.labels >= 0]}
+        stored = {row.tobytes() for row in state.buffer.features[:state.buffer.n_filled]}
         kept, other = (raw_rows, set(trained)) if iba else (set(trained), raw_rows)
         assert stored <= kept
         assert stored - other, "every stored row is both raw and trained on"
@@ -382,25 +377,6 @@ class TestCorrectionsDuringRuns:
         np.testing.assert_allclose(side.task_pred_distribution_raw,
                                    plain.task_pred_distribution_raw, atol=1e-12)
         assert side.correction is not None
-
-
-class TestRingStrategyRuns:
-    def test_end_to_end_run_with_ring_buffer(self):
-        stream = small_stream()
-        report = run_class_il(stream, small_config(base_strategy="ring",
-                                                   buffer_capacity=8))
-        # 4 classes, capacity 8: two FIFO slots per class, all eventually full
-        assert sum(report.buffer_class_counts.values()) == 8
-        assert set(report.buffer_class_counts.values()) == {2}
-
-    def test_ring_with_segment_zero_trains_without_replay(self):
-        # capacity below the class count: every segment has size zero, so
-        # the buffer can never store anything
-        stream = small_stream()
-        report = run_class_il(stream, small_config(base_strategy="ring",
-                                                   buffer_capacity=3))
-        assert report.buffer_class_counts == {}
-        assert report.buffer_balance_mse is None
 
 
 def record_final_evaluation(monkeypatch):
@@ -493,10 +469,6 @@ class TestAblationSuite:
             diff = sum(a != b for a, b in zip(trick_signature(prev.config),
                                               trick_signature(nxt.config)))
             assert diff == 1
-
-    def test_ring_base_rejects_the_brs_row(self):
-        with pytest.raises(ValueError, match="ring buffer cannot be combined with brs/lars"):
-            ablation_configs(small_config(base_strategy="ring"))
 
     def test_mean_and_std_summarize_reports(self):
         stream = small_stream()
