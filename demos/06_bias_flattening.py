@@ -4,8 +4,8 @@ Flattening the task-prediction distribution
 
 A single-head classifier trained on a class-incremental stream ends up
 biased toward the classes it saw last: averaged over the test set, nearly
-all of its softmax mass lands on the final task. Two small correction
-layers, fitted on a reservoir buffer collected during training (the model
+all of its softmax mass lands on the final task. Two small corrections,
+fitted on a reservoir buffer collected during training (the model
 itself stays frozen), push back:
 
 * bias control fits one affine pair (alpha, beta) on the last task's logits,

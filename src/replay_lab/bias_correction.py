@@ -1,16 +1,16 @@
 """Post-hoc output calibration for class-incremental classifiers.
 
-Two correction layers, both fitted on the replay buffer with the backbone
-frozen and applied to logits at evaluation time only:
+A ``Correction`` is one scale and one shift per class, ``q = o * scale +
+shift``, fitted on the replay buffer with the backbone frozen and applied to
+logits at evaluation time only. Two fits build one:
 
-* ``BicLayer``  -- one affine pair (alpha, beta) applied to the logits of the
-  classes learned last; all other logits pass through unchanged.
-* ``CbicLayer`` -- one additive offset per task, applied to every logit of
-  that task's classes; the first task's offset is pinned to zero to remove
-  the softmax shift degeneracy.
+* ``fit_bic``  -- one affine pair (alpha, beta) on the logits of the classes
+  learned last; every other class keeps scale 1 and shift 0.
+* ``fit_cbic`` -- one additive offset per task on every logit of that task's
+  classes; the first task's offset is pinned to zero to remove the softmax
+  shift degeneracy, and classes outside the partition get shift 0.
 
-Each layer corrects logits with ``.apply()`` and describes itself for the
-run report with ``.summary()``.
+``Correction.summary`` describes the correction for the run report.
 
 The fit reduces each buffer row once, to the logits the correction moves
 (BiC: the last task's; CBiC: one log-sum-exp per task after the first) plus
@@ -35,53 +35,21 @@ class BiasFitConfig:
 
 
 @dataclass(frozen=True)
-class BicLayer:
-    alpha: float
-    beta: float
-    last_task_classes: frozenset[int]
+class Correction:
+    """Per-class logit correction: ``scale`` and ``shift`` are ``(k,)``
+    arrays, ``summary`` the fitted parameters as the run report records them."""
 
-    def __post_init__(self):
-        if not self.last_task_classes:
-            raise ValueError("last_task_classes must be non-empty")
-
-    def apply(self, logits: np.ndarray) -> np.ndarray:
-        """q_k = alpha * o_k + beta on the last task's classes, identity elsewhere."""
-        logits = np.asarray(logits, dtype=float)
-        idx = _class_index(self.last_task_classes, logits.shape[-1])
-        out = logits.copy()
-        out[..., idx] = self.alpha * logits[..., idx] + self.beta
-        return out
-
-    def summary(self) -> dict:
-        """The correction as the run report records it."""
-        return {"type": "bic", "alpha": float(self.alpha), "beta": float(self.beta),
-                "classes": sorted(self.last_task_classes)}
-
-
-@dataclass(frozen=True)
-class CbicLayer:
-    betas: np.ndarray
-    task_partition: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=float))
-        tasks = set(self.task_partition.values())
-        if tasks and (min(tasks) < 0 or max(tasks) >= len(self.betas)):
-            raise ValueError("task ids must index into betas")
+    scale: np.ndarray
+    shift: np.ndarray
+    summary: dict
 
     def apply(self, logits: np.ndarray) -> np.ndarray:
-        """q_k = o_k + beta_{task(k)} for every class k."""
+        """q_k = o_k * scale_k + shift_k for every class k."""
         logits = np.asarray(logits, dtype=float)
-        k = logits.shape[-1]
-        missing = [c for c in range(k) if c not in self.task_partition]
-        if missing:
-            raise ValueError(f"classes {missing} are not mapped to any task")
-        task_idx = np.array([self.task_partition[c] for c in range(k)])
-        return logits + self.betas[task_idx]
-
-    def summary(self) -> dict:
-        """The correction as the run report records it."""
-        return {"type": "cbic", "betas": self.betas.tolist()}
+        if logits.shape[-1] != self.scale.size:
+            raise ValueError(f"{logits.shape[-1]} logits for a correction of "
+                             f"{self.scale.size} classes")
+        return logits * self.scale + self.shift
 
 
 def _class_index(classes, n_logits: int) -> list[int]:
@@ -126,7 +94,7 @@ def _descend(model: Mlp, buffer: ReplayBuffer, params: np.ndarray, col: np.ndarr
 
 
 def fit_bic(model: Mlp, buffer: ReplayBuffer, last_task_classes,
-            config: BiasFitConfig, rng: np.random.Generator) -> BicLayer:
+            config: BiasFitConfig, rng: np.random.Generator) -> Correction:
     """Fit (alpha, beta) by gradient descent on the buffer cross-entropy.
 
     Starts from the identity (1, 0); zero epochs returns it unchanged. The
@@ -147,20 +115,24 @@ def fit_bic(model: Mlp, buffer: ReplayBuffer, last_task_classes,
 
     alpha, beta = _descend(model, buffer, np.array([1.0, 0.0]), col, corrected, grad,
                            config, rng)
-    return BicLayer(alpha=float(alpha), beta=float(beta), last_task_classes=classes)
+    return Correction(np.where(col >= 0, alpha, 1.0), np.where(col >= 0, beta, 0.0),
+                      {"type": "bic", "alpha": float(alpha), "beta": float(beta),
+                       "classes": idx})
 
 
 def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
-             config: BiasFitConfig, rng: np.random.Generator) -> CbicLayer:
+             config: BiasFitConfig, rng: np.random.Generator) -> Correction:
     """Fit per-task offsets by gradient descent on the buffer cross-entropy.
 
     Offsets start at zero; the first task's offset stays pinned at zero, so
     its logits are left alone like those of classes outside the partition
-    (not yet encountered mid-stream), which pass through uncorrected during
-    fitting. A class id the model has no logit for is rejected.
+    (not yet encountered mid-stream), which get shift 0. A class id the
+    model has no logit for, or a negative task id, is rejected.
     """
     k = model.layer_dims[-1]
-    n_tasks = max(task_partition.values()) + 1
+    first, last = min(task_partition.values()), max(task_partition.values())
+    if first < 0:
+        raise ValueError(f"task id {first} is negative")
     _class_index(task_partition, k)
     # task t >= 1 is free column t - 1; task 0 and unmapped classes are the rest
     col = np.array([task_partition.get(c, 0) - 1 for c in range(k)])
@@ -171,5 +143,6 @@ def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int],
     def grad(dq, z):
         return dq.sum(axis=0)
 
-    betas = _descend(model, buffer, np.zeros(n_tasks - 1), col, corrected, grad, config, rng)
-    return CbicLayer(betas=np.append(0.0, betas), task_partition=dict(task_partition))
+    betas = np.append(0.0, _descend(model, buffer, np.zeros(last), col, corrected, grad,
+                                    config, rng))
+    return Correction(np.ones(k), betas[col + 1], {"type": "cbic", "betas": betas.tolist()})

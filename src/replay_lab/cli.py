@@ -197,20 +197,31 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     for key, low in minimums.items():
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
-    if not math.isfinite(cfg["synthetic.separation"]):
-        raise ConfigError(f"synthetic.separation must be finite, got {cfg['synthetic.separation']}")
-    class_count = (cfg["synthetic.class_count"] if cfg["dataset"] == "synthetic"
-                   else FASHION_MNIST_CLASSES)
+    separation = cfg["synthetic.separation"]
+    if not math.isfinite(separation):
+        raise ConfigError(f"synthetic.separation must be finite, got {separation}")
+    class_count, feature_dim, _ = _dataset_shape(cfg)
+    # the generator's largest class mean (datasets._raw_blobs)
+    largest_mean = (1 + (class_count - 1) // feature_dim) * separation
+    if not math.isfinite(largest_mean):
+        raise ConfigError(f"synthetic.separation {separation} puts the largest class mean "
+                          f"at {largest_mean}")
     if class_count % cfg["classes_per_task"]:
         raise ConfigError(f"classes_per_task {cfg['classes_per_task']} does not divide "
                           f"the class count {class_count}")
     configs = [train_config_from_experiment(cfg, seed) for seed in cfg["seeds"]]
-    feature_dim = (cfg["synthetic.feature_dim"] if cfg["dataset"] == "synthetic"
-                   else math.prod(FASHION_MNIST_IMAGE_DIMS))
     try:
         aug_policy(configs[0], feature_dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _dataset_shape(cfg: ExperimentConfig) -> tuple[int, int, tuple[int, ...] | None]:
+    """The configured dataset's class count, feature dim and image dims
+    (None for the synthetic rows, which are not images)."""
+    if cfg["dataset"] == "synthetic":
+        return cfg["synthetic.class_count"], cfg["synthetic.feature_dim"], None
+    return FASHION_MNIST_CLASSES, math.prod(FASHION_MNIST_IMAGE_DIMS), FASHION_MNIST_IMAGE_DIMS
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
@@ -219,8 +230,7 @@ def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfi
     ``image_dims`` is inferred from the dataset."""
     kwargs = {f.name: cfg[_config_key(f.name)] for f in _TRAIN_FIELDS}
     kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
-    image_dims = tuple(cfg["image_dims"]) or (
-        FASHION_MNIST_IMAGE_DIMS if cfg["dataset"] == "fashion-mnist" else None)
+    image_dims = tuple(cfg["image_dims"]) or _dataset_shape(cfg)[2]
     try:
         return TrainConfig(**kwargs, image_dims=image_dims, seed=seed)
     except ValueError as exc:

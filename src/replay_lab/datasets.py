@@ -56,8 +56,9 @@ class Dataset:
             raise ValueError("labels length does not match features")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("labels must lie in [0, class_count)")
+        # a NaN fails both comparisons, so it is rejected too
         if (self.features.dtype != np.uint8 and self.features.size
-                and (self.features.min() < 0.0 or self.features.max() > 1.0)):
+                and not (self.features.min() >= 0.0 and self.features.max() <= 1.0)):
             raise ValueError("feature values must lie in [0, 1]")
 
     def __len__(self) -> int:

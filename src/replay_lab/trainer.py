@@ -3,7 +3,7 @@
 Each step optimizes the sum of two batch means (stream cross-entropy plus
 replay cross-entropy) in one pass over the stacked stream and replay rows,
 updates the buffer under the configured strategy, and advances the
-per-example learning-rate schedule. Bias-correction layers are fitted on the
+per-example learning-rate schedule. A bias correction is fitted on the
 buffer at task boundaries and applied at evaluation time only.
 
 A run is a sequential state machine owning its model, buffer, and a set of
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 
 from .augmentation import AugPolicy, augment, replay_with_iba
-from .bias_correction import BiasFitConfig, BicLayer, CbicLayer, fit_bic, fit_cbic
+from .bias_correction import BiasFitConfig, Correction, fit_bic, fit_cbic
 from .datasets import Task, TaskStream
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
@@ -136,7 +136,7 @@ class TrainState:
     examples_seen: int = 0
     task_index: int = 0
     task_step: int = 0
-    correction: BicLayer | CbicLayer | None = None
+    correction: Correction | None = None
 
 
 @dataclass
@@ -255,13 +255,17 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
 
     BiC is fitted at the end of each task from the second onward (after the
     first task there is nothing to correct); CBiC at the end of every task.
-    Either replaces the previously fitted layer. Corrections never touch the
-    backbone and only shape evaluation-time logits: the final evaluation runs
-    one forward per test set and scores the raw and the corrected logits.
+    Either replaces the previously fitted correction. Corrections never touch
+    the backbone and only shape evaluation-time logits: the final evaluation
+    runs one forward per test set and scores the raw and the corrected logits.
+    An empty test set is rejected before any training.
     """
     t_start = time.perf_counter()
     if eval_stream is None:
         eval_stream = task_stream
+    for task in eval_stream.tasks:
+        if task.test_features.shape[0] == 0:
+            raise ValueError(f"task {task.class_ids} has an empty test set")
     state = init_state(task_stream, config)
     bias_cfg = BiasFitConfig(epochs=config.bias_epochs,
                              batch_size=config.bias_batch_size, lr=config.bias_lr)
@@ -279,9 +283,6 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
                 state.correction = fit_cbic(state.model, state.buffer, partition,
                                             bias_cfg, state.rngs.fit)
 
-    for task in eval_stream.tasks:
-        if task.test_features.shape[0] == 0:
-            raise ValueError(f"task {task.class_ids} has an empty test set")
     raw = [state.model.forward(task.test_features)[0] for task in eval_stream.tasks]
     logits = raw if state.correction is None else [state.correction.apply(z) for z in raw]
     per_task, avg = average_final_accuracy(logits, eval_stream)
@@ -301,7 +302,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
         buffer_class_counts=state.buffer.class_counts(),
         buffer_balance_mse=mse,
         buffer_slot_audit=state.buffer.audit(),
-        correction=None if state.correction is None else state.correction.summary(),
+        correction=None if state.correction is None else state.correction.summary,
         examples_seen=state.examples_seen,
         wall_clock_seconds=time.perf_counter() - t_start,
         config=config_dict(config),

@@ -42,3 +42,23 @@ def test_balance_toy_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
     overlap, problems = job.check_round()
     assert problems == []
     assert 0.0 < overlap <= 1.0
+
+
+def test_lars_bic_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # one seed of the benchmark's lars-bic round (training with LARS and the
+    # BiC fit), checked as the benchmark checks it
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    class OneSeed(workloads.LarsBic):
+        n_seeds = 1
+
+    monkeypatch.setattr(cli, "build_task_stream", cli.build_task_stream)   # restored after the test
+    job = OneSeed(0, tmp_path)
+    assert job.prepare() == []
+    job.setup(cli)
+    job.reuse_setup(cli)
+    assert cli.main(job.argv()) == 0
+    accuracy, problems = job.check_round()
+    assert problems == []
+    assert workloads.MIN_ACCURACY < accuracy <= 1.0

@@ -1,4 +1,5 @@
-"""Tests for the affine (last task) and per-task additive logit corrections."""
+"""Tests for the per-class logit correction and its two fits: affine on the
+last task (BiC) and additive per task (CBiC)."""
 
 import math
 from collections import Counter
@@ -6,8 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from replay_lab.bias_correction import (BiasFitConfig, BicLayer, CbicLayer,
-                                        fit_bic, fit_cbic)
+from replay_lab.bias_correction import BiasFitConfig, Correction, fit_bic, fit_cbic
 from replay_lab.mlp import Mlp, softmax
 from replay_lab.sampling import ReplayBuffer
 
@@ -37,81 +37,88 @@ def linear_model(weight, bias=None):
     return model
 
 
-class TestApplyBic:
-    def test_identity_correction(self):
-        layer = BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset({2, 3}))
-        logits = np.array([[1.0, -2.0, 0.5, 3.0]])
-        np.testing.assert_array_equal(layer.apply(logits), logits)
+def reference_bic(logits, alpha, beta, classes):
+    """BiC: alpha * o + beta on the given classes, identity elsewhere."""
+    out = logits.copy()
+    idx = sorted(classes)
+    out[:, idx] = alpha * logits[:, idx] + beta
+    return out
 
-    def test_hand_computed_piecewise_example(self):
-        layer = BicLayer(alpha=0.5, beta=-1.0, last_task_classes=frozenset({2, 3}))
-        out = layer.apply(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0, 0.5, 1.0], atol=1e-15)
 
-    def test_non_last_logits_bit_identical_and_input_untouched(self):
-        layer = BicLayer(alpha=2.0, beta=0.3, last_task_classes=frozenset({1}))
-        logits = np.random.default_rng(1).normal(size=(5, 4))
+def reference_cbic(logits, betas, partition):
+    """CBiC: o + betas[task] on every class, task 0's offset for unmapped ones."""
+    return logits + np.asarray(betas)[[partition.get(c, 0) for c in range(logits.shape[1])]]
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCorrection:
+    """A fitted correction applies the formula of its trick, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "all-classes"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bic_matches_the_reference(self, seed, kind):
+        rng, k, model, buf, config = random_fit_case(seed)
+        classes = bic_classes(kind, k, rng)
+        corr = fit_bic(model, buf, classes, config, rng)
+        s = corr.summary
+        assert s["type"] == "bic" and s["classes"] == sorted(classes)
+        logits = rng.normal(scale=5.0, size=(7, k))
         copy = logits.copy()
-        out = layer.apply(logits)
-        np.testing.assert_array_equal(logits, copy)
-        np.testing.assert_array_equal(out[:, [0, 2, 3]], logits[:, [0, 2, 3]])
+        assert_bitwise_equal(corr.apply(logits),
+                             reference_bic(logits, s["alpha"], s["beta"], classes))
+        assert_bitwise_equal(logits, copy)
 
-    def test_class_out_of_range_rejected(self):
-        layer = BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset({5}))
-        with pytest.raises(ValueError):
-            layer.apply(np.zeros((2, 4)))
+    @pytest.mark.parametrize("kind", ["random", "unmapped", "empty-task"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cbic_matches_the_reference(self, seed, kind):
+        rng, k, model, buf, config = random_fit_case(seed)
+        partition = cbic_partition(kind, k, rng)
+        corr = fit_cbic(model, buf, partition, config, rng)
+        s = corr.summary
+        assert s["type"] == "cbic" and s["betas"][0] == 0.0
+        assert len(s["betas"]) == max(partition.values()) + 1
+        logits = rng.normal(scale=5.0, size=(7, k))
+        assert_bitwise_equal(corr.apply(logits), reference_cbic(logits, s["betas"], partition))
+        # an unmapped class is left alone, as the fit leaves it
+        unmapped = [c for c in range(k) if c not in partition]
+        assert_bitwise_equal(corr.apply(logits)[:, unmapped], logits[:, unmapped])
 
-    def test_negative_class_rejected(self):
-        # a negative id would index the last logits from the end
-        layer = BicLayer(alpha=2.0, beta=1.0, last_task_classes=frozenset({-1}))
-        with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
-            layer.apply(np.zeros((1, 4)))
+    @pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
+                                          (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
+    def test_zero_epochs_is_the_identity(self, fit, arg):
+        model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
+        buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
+        corr = fit(model, buf, arg, fit_config(0), np.random.default_rng(2))
+        logits = np.random.default_rng(3).normal(size=(5, 4))
+        assert_bitwise_equal(corr.apply(logits), logits)
 
-    def test_empty_class_set_rejected(self):
-        with pytest.raises(ValueError):
-            BicLayer(alpha=1.0, beta=0.0, last_task_classes=frozenset())
+    @pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
+                                          (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_wrong_logit_width_rejected(self, fit, arg, width):
+        model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
+        buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
+        corr = fit(model, buf, arg, fit_config(3), np.random.default_rng(2))
+        with pytest.raises(ValueError, match=f"{width} logits for a correction of 4 classes"):
+            corr.apply(np.zeros((2, width)))
 
-    def test_all_classes_last_is_a_global_affine_map(self):
-        layer = BicLayer(alpha=0.5, beta=2.0, last_task_classes=frozenset({0, 1, 2}))
-        logits = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(layer.apply(logits), 0.5 * logits + 2.0)
+    def test_hand_computed_example(self):
+        corr = Correction(np.array([1.0, 1.0, 0.5, 0.5]), np.array([0.0, 0.0, -1.0, -1.0]), {})
+        np.testing.assert_array_equal(corr.apply(np.array([1.0, 2.0, 3.0, 4.0])),
+                                      [1.0, 2.0, 0.5, 1.0])
 
-
-class TestApplyCbic:
-    def test_zero_betas_is_identity(self):
-        layer = CbicLayer(betas=np.zeros(2), task_partition={0: 0, 1: 0, 2: 1, 3: 1})
-        logits = np.random.default_rng(2).normal(size=(3, 4))
-        np.testing.assert_array_equal(layer.apply(logits), logits)
-
-    def test_hand_computed_offsets(self):
-        layer = CbicLayer(betas=np.array([0.5, -0.5]),
-                          task_partition={0: 0, 1: 0, 2: 1, 3: 1})
-        out = layer.apply(np.zeros(4))
-        np.testing.assert_allclose(out, [0.5, 0.5, -0.5, -0.5], atol=1e-15)
-
-    def test_common_constant_leaves_predictions_unchanged(self):
-        partition = {0: 0, 1: 0, 2: 1, 3: 1}
+    def test_common_shift_leaves_predictions_unchanged(self):
         logits = np.random.default_rng(3).normal(size=(10, 4))
-        a = CbicLayer(betas=np.array([0.2, -0.7]), task_partition=partition)
-        b = CbicLayer(betas=np.array([0.2 + 5.0, -0.7 + 5.0]), task_partition=partition)
+        shift = np.array([0.2, 0.2, -0.7, -0.7])
+        a = Correction(np.ones(4), shift, {})
+        b = Correction(np.ones(4), shift + 5.0, {})
         np.testing.assert_array_equal(np.argmax(a.apply(logits), axis=1),
                                       np.argmax(b.apply(logits), axis=1))
         np.testing.assert_allclose(softmax(a.apply(logits)),
                                    softmax(b.apply(logits)), atol=1e-12)
-
-    def test_unmapped_class_rejected(self):
-        layer = CbicLayer(betas=np.zeros(1), task_partition={0: 0, 1: 0})
-        with pytest.raises(ValueError):
-            layer.apply(np.zeros((1, 3)))
-
-    def test_bic_with_unit_alpha_equals_single_task_cbic(self):
-        logits = np.random.default_rng(4).normal(size=(6, 4))
-        beta = 0.8
-        bic = BicLayer(alpha=1.0, beta=beta, last_task_classes=frozenset({2, 3}))
-        cbic = CbicLayer(betas=np.array([0.0, beta]),
-                         task_partition={0: 0, 1: 0, 2: 1, 3: 1})
-        np.testing.assert_allclose(bic.apply(logits), cbic.apply(logits),
-                                   atol=1e-15)
 
 
 def solve_wrong_scale(s=1.0):
@@ -142,25 +149,25 @@ class TestFitBic:
 
     def test_calibrated_model_keeps_identity_correction(self):
         model, buf = self.identity_optimum_setup()
-        layer = fit_bic(model, buf, {1}, BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
-                        np.random.default_rng(5))
-        assert abs(layer.alpha - 1.0) <= 0.1
-        assert abs(layer.beta - 0.0) <= 0.1
+        corr = fit_bic(model, buf, {1}, BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
+                       np.random.default_rng(5))
+        assert abs(corr.summary["alpha"] - 1.0) <= 0.1
+        assert abs(corr.summary["beta"] - 0.0) <= 0.1
 
     def test_identity_is_exactly_stationary_under_full_batches(self):
         model, buf = self.identity_optimum_setup()
-        layer = fit_bic(model, buf, {1}, BiasFitConfig(epochs=200, batch_size=4, lr=0.1),
-                        np.random.default_rng(6))
-        assert layer.alpha == pytest.approx(1.0, abs=1e-9)
-        assert layer.beta == pytest.approx(0.0, abs=1e-9)
+        corr = fit_bic(model, buf, {1}, BiasFitConfig(epochs=200, batch_size=4, lr=0.1),
+                       np.random.default_rng(6))
+        assert corr.summary["alpha"] == pytest.approx(1.0, abs=1e-9)
+        assert corr.summary["beta"] == pytest.approx(0.0, abs=1e-9)
 
     def test_biased_model_loss_decreases(self):
         shift = 2.5
         model = linear_model(3.0 * np.eye(4), bias=[0, 0, shift, shift])
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
-        layer = fit_bic(model, buf, {2, 3},
-                        BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
-                        np.random.default_rng(7))
+        corr = fit_bic(model, buf, {2, 3},
+                       BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
+                       np.random.default_rng(7))
 
         feats, labels = buf.as_arrays()
         logits, _ = model.forward(feats)
@@ -169,12 +176,12 @@ class TestFitBic:
             probs = softmax(q)
             return float(-np.log(probs[np.arange(4), labels]).mean())
 
-        assert buffer_ce(layer.apply(logits)) < buffer_ce(logits)
+        assert buffer_ce(corr.apply(logits)) < buffer_ce(logits)
 
     def test_zero_epochs_returns_identity(self):
         model, buf = self.identity_optimum_setup()
-        layer = fit_bic(model, buf, {1}, fit_config(0), np.random.default_rng(8))
-        assert (layer.alpha, layer.beta) == (1.0, 0.0)
+        corr = fit_bic(model, buf, {1}, fit_config(0), np.random.default_rng(8))
+        assert (corr.summary["alpha"], corr.summary["beta"]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("classes", [set(), {2}])
     def test_bad_class_set_rejected(self, classes):
@@ -207,38 +214,38 @@ class TestFitCbic:
 
     def test_unbiased_model_keeps_zero_offsets(self):
         model, buf, partition = self.symmetric_setup()
-        layer = fit_cbic(model, buf, partition,
-                         BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
-                         np.random.default_rng(10))
-        np.testing.assert_allclose(layer.betas, 0.0, atol=0.1)
+        corr = fit_cbic(model, buf, partition,
+                        BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
+                        np.random.default_rng(10))
+        np.testing.assert_allclose(corr.summary["betas"], 0.0, atol=0.1)
 
     def test_first_task_offset_pinned_to_zero(self):
         model = linear_model(np.eye(4), bias=[0, 0, 3.0, 3.0])
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
-        layer = fit_cbic(model, buf, {0: 0, 1: 0, 2: 1, 3: 1},
-                         BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
-                         np.random.default_rng(11))
-        assert layer.betas[0] == 0.0
-        assert layer.betas[1] < -0.5  # pushes the over-boosted task down
+        corr = fit_cbic(model, buf, {0: 0, 1: 0, 2: 1, 3: 1},
+                        BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
+                        np.random.default_rng(11))
+        assert corr.summary["betas"][0] == 0.0
+        assert corr.summary["betas"][1] < -0.5  # pushes the over-boosted task down
 
     def test_single_task_stays_identity(self):
         model = linear_model(np.eye(2))
         buf = buffer_of(np.eye(2), labels=[0, 1])
-        layer = fit_cbic(model, buf, {0: 0, 1: 0},
-                         BiasFitConfig(epochs=50, batch_size=2, lr=0.1),
-                         np.random.default_rng(12))
-        np.testing.assert_array_equal(layer.betas, [0.0])
+        corr = fit_cbic(model, buf, {0: 0, 1: 0},
+                        BiasFitConfig(epochs=50, batch_size=2, lr=0.1),
+                        np.random.default_rng(12))
+        np.testing.assert_array_equal(corr.summary["betas"], [0.0])
         logits = np.random.default_rng(13).normal(size=(3, 2))
-        np.testing.assert_array_equal(layer.apply(logits), logits)
+        np.testing.assert_array_equal(corr.apply(logits), logits)
 
     def test_partial_partition_allowed_during_fitting(self):
         # mid-stream fit: only the first task's classes are mapped
         model = linear_model(np.eye(4))
         buf = buffer_of(np.eye(4)[:2], labels=[0, 1])
-        layer = fit_cbic(model, buf, {0: 0, 1: 0},
-                         BiasFitConfig(epochs=20, batch_size=2, lr=0.1),
-                         np.random.default_rng(14))
-        assert layer.betas.shape == (1,)
+        corr = fit_cbic(model, buf, {0: 0, 1: 0},
+                        BiasFitConfig(epochs=20, batch_size=2, lr=0.1),
+                        np.random.default_rng(14))
+        assert len(corr.summary["betas"]) == 1
 
     def test_class_without_logit_rejected(self):
         # class 9 on a 4-logit model: task 1's offset could never move
@@ -254,6 +261,14 @@ class TestFitCbic:
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
             fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1},
+                     fit_config(5), np.random.default_rng(17))
+
+    def test_negative_task_rejected(self):
+        # task -1 would give class 2 the last task's offset, betas[-1]
+        model = linear_model(np.eye(4))
+        buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
+        with pytest.raises(ValueError, match="task id -1 is negative"):
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: -1, 3: 1},
                      fit_config(5), np.random.default_rng(17))
 
     def test_backbone_parameters_untouched(self):
@@ -362,8 +377,9 @@ class TestFitMatchesFullSoftmax:
         classes = bic_classes(kind, k, rng)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = reference_fit_bic(model, buf, classes, config, ref_rng)
-        layer = fit_bic(model, buf, classes, config, rng)
-        np.testing.assert_allclose([layer.alpha, layer.beta], expected, rtol=0, atol=1e-12)
+        corr = fit_bic(model, buf, classes, config, rng)
+        s = corr.summary
+        np.testing.assert_allclose([s["alpha"], s["beta"]], expected, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["random", "unmapped", "empty-task"])
@@ -373,9 +389,9 @@ class TestFitMatchesFullSoftmax:
         partition = cbic_partition(kind, k, rng)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = reference_fit_cbic(model, buf, partition, config, ref_rng)
-        layer = fit_cbic(model, buf, partition, config, rng)
-        assert layer.betas.shape == expected.shape
-        np.testing.assert_allclose(layer.betas, expected, rtol=0, atol=1e-12)
+        corr = fit_cbic(model, buf, partition, config, rng)
+        assert np.shape(corr.summary["betas"]) == expected.shape
+        np.testing.assert_allclose(corr.summary["betas"], expected, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(6))
@@ -393,7 +409,8 @@ class TestFitMatchesFullSoftmax:
                       np.random.default_rng(seed))
         cbic = fit_cbic(model, buf, cbic_partition("random", k, rng), config,
                         np.random.default_rng(seed))
-        assert np.isfinite([bic.alpha, bic.beta]).all() and np.isfinite(cbic.betas).all()
+        assert np.isfinite([bic.summary["alpha"], bic.summary["beta"]]).all()
+        assert np.isfinite(cbic.summary["betas"]).all()
         assert buffer_ce(bic.apply(logits), labels) <= identity
         assert buffer_ce(cbic.apply(logits), labels) <= identity
 

@@ -469,6 +469,23 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "runs.csv").exists()
 
+    @pytest.mark.parametrize("separation", ["1e308", "-1e308"])
+    def test_separation_that_overflows_the_generator_is_2(self, tmp_path, monkeypatch,
+                                                          capsys, separation):
+        # 4 classes on 1 axis put the last class mean at 4 * separation = inf,
+        # which the generator would turn into NaN features
+        monkeypatch.setattr(cli, "build_task_stream",
+                            lambda cfg: pytest.fail("data was read before the check"))
+        cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.feature_dim = 1\n"
+                           f"synthetic.separation = {separation}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: synthetic.separation" in capsys.readouterr().err
+
+    def test_separation_with_a_finite_largest_mean_is_accepted(self, tmp_path):
+        # 4 classes on 8 axes: the largest class mean is separation itself
+        cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.separation = 1e308\n")
+        assert load_experiment_config(cfg, {})["synthetic.separation"] == 1e308
+
     def test_bad_run_setting_is_2_even_without_data(self, tmp_path, monkeypatch):
         # the config error wins over the missing Fashion-MNIST data
         monkeypatch.delenv("REPLAYLAB_DATA", raising=False)

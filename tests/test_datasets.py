@@ -78,7 +78,8 @@ class TestDatasetFeatures:
         pixels = np.array([[0, 128, 255]], dtype=np.uint8)
         assert Dataset(pixels, [0], class_count=1).features is pixels
 
-    @pytest.mark.parametrize("features", [[[0.0, 1.5]], [[-0.1, 0.5]], [[0, 255]]])
+    @pytest.mark.parametrize("features", [[[0.0, 1.5]], [[-0.1, 0.5]], [[0, 255]],
+                                          [[0.5, np.nan]], [[np.nan, np.nan]]])
     def test_other_features_outside_unit_interval_rejected(self, features):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             Dataset(np.array(features), [0], class_count=1)

@@ -417,9 +417,14 @@ class TestEvaluationErrors:
             test_labels=np.empty(0, dtype=int),
         )
         broken = TaskStream(tasks=[broken_task], class_count=stream.class_count)
+        steps = []
+        step = trainer.er_train_step
+        monkeypatch.setattr(trainer, "er_train_step",
+                            lambda *args: steps.append(1) or step(*args))
         with pytest.raises(ValueError, match="empty test set"):
             run_class_il(stream, small_config(), eval_stream=broken)
         assert seen["eval_inputs"] == []
+        assert steps == []  # rejected before any training
 
 
 class TestFinalEvaluation:
