@@ -8,7 +8,8 @@ all of its softmax mass lands on the final task. Two small corrections,
 fitted on a reservoir buffer collected during training (the model
 itself stays frozen), push back:
 
-* bias control fits one affine pair (alpha, beta) on the last task's logits,
+* bias control fits one additive shift on the last task's logits (the
+  scale alpha of the original BiC is fixed at 1 here),
 * complete bias control fits one additive offset per task.
 
 The demo trains a plain fine-tuning run with a 100-item side buffer, fits

@@ -3,7 +3,7 @@ from-scratch MLP, with reservoir-buffer variants, independent buffer
 augmentation, per-class bias correction, and exponential learning-rate decay."""
 
 from .augmentation import AugPolicy, augment, replay_with_iba
-from .bias_correction import BiasFitConfig, Correction, fit_bic, fit_cbic
+from .bias_correction import Correction, fit_bic, fit_cbic
 from .datasets import (Dataset, IdxFormatError, Task, TaskStream,
                        load_fashion_mnist, make_class_il_tasks,
                        parse_idx_images, parse_idx_labels, read_idx_file,

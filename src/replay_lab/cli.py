@@ -80,8 +80,8 @@ def _parse_tricks(text: str) -> tuple[str, ...]:
 
 def _config_key(field_name: str) -> str:
     """The config key of a ``TrainConfig`` field: the underscore after an
-    ``aug`` or ``bias`` prefix reads as ``.`` (``bias_lr`` -> ``bias.lr``)."""
-    if field_name.startswith(("aug_", "bias_")):
+    ``aug`` prefix reads as ``.`` (``aug_max_shift`` -> ``aug.max_shift``)."""
+    if field_name.startswith("aug_"):
         return field_name.replace("_", ".", 1)
     return field_name
 
@@ -225,9 +225,9 @@ def _dataset_shape(cfg: ExperimentConfig) -> tuple[int, int, tuple[int, ...] | N
 
 
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    """Copy each ``TrainConfig`` field from its config key (``bias_lr`` from
-    ``bias.lr``); each trick token sets the boolean of the same name. Empty
-    ``image_dims`` is inferred from the dataset."""
+    """Copy each ``TrainConfig`` field from its config key (``aug_max_shift``
+    from ``aug.max_shift``); each trick token sets the boolean of the same
+    name. Empty ``image_dims`` is inferred from the dataset."""
     kwargs = {f.name: cfg[_config_key(f.name)] for f in _TRAIN_FIELDS}
     kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
     image_dims = tuple(cfg["image_dims"]) or _dataset_shape(cfg)[2]

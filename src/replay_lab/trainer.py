@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace, asdict
 import numpy as np
 
 from .augmentation import AugPolicy, augment, replay_with_iba
-from .bias_correction import BiasFitConfig, Correction, fit_bic, fit_cbic
+from .bias_correction import Correction, fit_bic, fit_cbic
 from .datasets import Task, TaskStream
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
@@ -58,9 +58,6 @@ class TrainConfig:
     aug_hflip_prob: float = 0.0
     aug_stream_enabled: bool = False
     image_dims: tuple[int, int, int] | None = None
-    bias_epochs: int = 50
-    bias_batch_size: int = 32
-    bias_lr: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -80,12 +77,6 @@ class TrainConfig:
             raise ValueError("brs and lars are mutually exclusive")
         if self.bic and self.cbic:
             raise ValueError("bic and cbic are mutually exclusive")
-        if self.bias_epochs < 0:
-            raise ValueError("bias_epochs must be >= 0")
-        if self.bias_batch_size < 1:
-            raise ValueError("bias_batch_size must be >= 1")
-        if not 0 < self.bias_lr < math.inf:
-            raise ValueError(f"bias_lr must be positive and finite, got {self.bias_lr}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -118,11 +109,10 @@ class RngStreams:
     replay: np.random.Generator
     stream_aug: np.random.Generator
     iba: np.random.Generator
-    fit: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":
-        children = np.random.SeedSequence(seed).spawn(7)
+        children = np.random.SeedSequence(seed).spawn(6)
         return cls(*(np.random.default_rng(c) for c in children))
 
 
@@ -267,21 +257,17 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
         if task.test_features.shape[0] == 0:
             raise ValueError(f"task {task.class_ids} has an empty test set")
     state = init_state(task_stream, config)
-    bias_cfg = BiasFitConfig(epochs=config.bias_epochs,
-                             batch_size=config.bias_batch_size, lr=config.bias_lr)
 
     for t, task in enumerate(task_stream.tasks):
         state.task_index = t
         _train_one_task(state, task, config)
         if state.buffer.n_filled > 0:
             if config.bic and t >= 1:
-                state.correction = fit_bic(state.model, state.buffer,
-                                           set(task.class_ids), bias_cfg, state.rngs.fit)
+                state.correction = fit_bic(state.model, state.buffer, set(task.class_ids))
             if config.cbic:
                 partition = {c: ti for ti, tk in enumerate(task_stream.tasks[:t + 1])
                              for c in tk.class_ids}
-                state.correction = fit_cbic(state.model, state.buffer, partition,
-                                            bias_cfg, state.rngs.fit)
+                state.correction = fit_cbic(state.model, state.buffer, partition)
 
     raw = [state.model.forward(task.test_features)[0] for task in eval_stream.tasks]
     logits = raw if state.correction is None else [state.correction.apply(z) for z in raw]

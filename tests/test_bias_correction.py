@@ -1,13 +1,12 @@
-"""Tests for the per-class logit correction and its two fits: affine on the
-last task (BiC) and additive per task (CBiC)."""
+"""Tests for the per-class logit shift and its two fits: one shift on the
+last task (BiC) and one per task after the first (CBiC)."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from replay_lab.bias_correction import BiasFitConfig, Correction, fit_bic, fit_cbic
+from replay_lab.bias_correction import Correction, fit_bic, fit_cbic
 from replay_lab.mlp import Mlp, softmax
 from replay_lab.sampling import ReplayBuffer
 
@@ -23,11 +22,6 @@ def buffer_of(features, labels):
     return buf
 
 
-def fit_config(epochs):
-    """The run defaults of the bias fit (``TrainConfig.bias_*``), ``epochs`` aside."""
-    return BiasFitConfig(epochs=epochs, batch_size=32, lr=0.01)
-
-
 def linear_model(weight, bias=None):
     """Single affine layer with exactly the given parameters."""
     weight = np.asarray(weight, dtype=float)
@@ -37,17 +31,14 @@ def linear_model(weight, bias=None):
     return model
 
 
-def reference_bic(logits, alpha, beta, classes):
-    """BiC: alpha * o + beta on the given classes, identity elsewhere."""
-    out = logits.copy()
-    idx = sorted(classes)
-    out[:, idx] = alpha * logits[:, idx] + beta
-    return out
+def bic_shift(beta, classes, k):
+    """BiC: beta on the given classes, 0 elsewhere."""
+    return np.array([beta if c in classes else 0.0 for c in range(k)])
 
 
-def reference_cbic(logits, betas, partition):
-    """CBiC: o + betas[task] on every class, task 0's offset for unmapped ones."""
-    return logits + np.asarray(betas)[[partition.get(c, 0) for c in range(logits.shape[1])]]
+def cbic_shift(betas, partition, k):
+    """CBiC: the offset of each class's task, 0 for unmapped classes."""
+    return np.array([betas[partition[c]] if c in partition else 0.0 for c in range(k)])
 
 
 def assert_bitwise_equal(a, b):
@@ -55,45 +46,35 @@ def assert_bitwise_equal(a, b):
 
 
 class TestCorrection:
-    """A fitted correction applies the formula of its trick, bit for bit."""
+    """A fitted correction adds the shift of its trick, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["random", "all-classes"])
     @pytest.mark.parametrize("seed", range(5))
     def test_bic_matches_the_reference(self, seed, kind):
-        rng, k, model, buf, config = random_fit_case(seed)
+        rng, k, model, buf = random_fit_case(seed)
         classes = bic_classes(kind, k, rng)
-        corr = fit_bic(model, buf, classes, config, rng)
+        corr = fit_bic(model, buf, classes)
         s = corr.summary
         assert s["type"] == "bic" and s["classes"] == sorted(classes)
         logits = rng.normal(scale=5.0, size=(7, k))
         copy = logits.copy()
-        assert_bitwise_equal(corr.apply(logits),
-                             reference_bic(logits, s["alpha"], s["beta"], classes))
+        assert_bitwise_equal(corr.apply(logits), logits + bic_shift(s["beta"], classes, k))
         assert_bitwise_equal(logits, copy)
 
     @pytest.mark.parametrize("kind", ["random", "unmapped", "empty-task"])
     @pytest.mark.parametrize("seed", range(5))
     def test_cbic_matches_the_reference(self, seed, kind):
-        rng, k, model, buf, config = random_fit_case(seed)
+        rng, k, model, buf = random_fit_case(seed)
         partition = cbic_partition(kind, k, rng)
-        corr = fit_cbic(model, buf, partition, config, rng)
+        corr = fit_cbic(model, buf, partition)
         s = corr.summary
         assert s["type"] == "cbic" and s["betas"][0] == 0.0
         assert len(s["betas"]) == max(partition.values()) + 1
         logits = rng.normal(scale=5.0, size=(7, k))
-        assert_bitwise_equal(corr.apply(logits), reference_cbic(logits, s["betas"], partition))
+        assert_bitwise_equal(corr.apply(logits), logits + cbic_shift(s["betas"], partition, k))
         # an unmapped class is left alone, as the fit leaves it
         unmapped = [c for c in range(k) if c not in partition]
         assert_bitwise_equal(corr.apply(logits)[:, unmapped], logits[:, unmapped])
-
-    @pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
-                                          (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
-    def test_zero_epochs_is_the_identity(self, fit, arg):
-        model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
-        buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
-        corr = fit(model, buf, arg, fit_config(0), np.random.default_rng(2))
-        logits = np.random.default_rng(3).normal(size=(5, 4))
-        assert_bitwise_equal(corr.apply(logits), logits)
 
     @pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
                                           (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
@@ -101,20 +82,20 @@ class TestCorrection:
     def test_wrong_logit_width_rejected(self, fit, arg, width):
         model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
         buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
-        corr = fit(model, buf, arg, fit_config(3), np.random.default_rng(2))
+        corr = fit(model, buf, arg)
         with pytest.raises(ValueError, match=f"{width} logits for a correction of 4 classes"):
             corr.apply(np.zeros((2, width)))
 
     def test_hand_computed_example(self):
-        corr = Correction(np.array([1.0, 1.0, 0.5, 0.5]), np.array([0.0, 0.0, -1.0, -1.0]), {})
+        corr = Correction(np.array([0.0, 0.0, -1.0, -1.0]), {})
         np.testing.assert_array_equal(corr.apply(np.array([1.0, 2.0, 3.0, 4.0])),
-                                      [1.0, 2.0, 0.5, 1.0])
+                                      [1.0, 2.0, 2.0, 3.0])
 
     def test_common_shift_leaves_predictions_unchanged(self):
         logits = np.random.default_rng(3).normal(size=(10, 4))
         shift = np.array([0.2, 0.2, -0.7, -0.7])
-        a = Correction(np.ones(4), shift, {})
-        b = Correction(np.ones(4), shift + 5.0, {})
+        a = Correction(shift, {})
+        b = Correction(shift + 5.0, {})
         np.testing.assert_array_equal(np.argmax(a.apply(logits), axis=1),
                                       np.argmax(b.apply(logits), axis=1))
         np.testing.assert_allclose(softmax(a.apply(logits)),
@@ -148,57 +129,41 @@ class TestFitBic:
         return model, buf
 
     def test_calibrated_model_keeps_identity_correction(self):
+        # the gradient at zero shift is zero up to rounding, below GRAD_TOL,
+        # so the fit takes no step
         model, buf = self.identity_optimum_setup()
-        corr = fit_bic(model, buf, {1}, BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
-                       np.random.default_rng(5))
-        assert abs(corr.summary["alpha"] - 1.0) <= 0.1
-        assert abs(corr.summary["beta"] - 0.0) <= 0.1
-
-    def test_identity_is_exactly_stationary_under_full_batches(self):
-        model, buf = self.identity_optimum_setup()
-        corr = fit_bic(model, buf, {1}, BiasFitConfig(epochs=200, batch_size=4, lr=0.1),
-                       np.random.default_rng(6))
-        assert corr.summary["alpha"] == pytest.approx(1.0, abs=1e-9)
-        assert corr.summary["beta"] == pytest.approx(0.0, abs=1e-9)
+        corr = fit_bic(model, buf, {1})
+        assert corr.summary["iterations"] == 0 and corr.summary["beta"] == 0.0
+        assert corr.summary["ce_after"] == corr.summary["ce_before"]
 
     def test_biased_model_loss_decreases(self):
         shift = 2.5
         model = linear_model(3.0 * np.eye(4), bias=[0, 0, shift, shift])
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
-        corr = fit_bic(model, buf, {2, 3},
-                       BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
-                       np.random.default_rng(7))
+        corr = fit_bic(model, buf, {2, 3})
 
         feats, labels = buf.as_arrays()
         logits, _ = model.forward(feats)
-
-        def buffer_ce(q):
-            probs = softmax(q)
-            return float(-np.log(probs[np.arange(4), labels]).mean())
-
-        assert buffer_ce(corr.apply(logits)) < buffer_ce(logits)
-
-    def test_zero_epochs_returns_identity(self):
-        model, buf = self.identity_optimum_setup()
-        corr = fit_bic(model, buf, {1}, fit_config(0), np.random.default_rng(8))
-        assert (corr.summary["alpha"], corr.summary["beta"]) == (1.0, 0.0)
+        assert buffer_ce(corr.apply(logits), labels) < buffer_ce(logits, labels)
+        # balanced labels: the shift cancels the bias exactly
+        assert corr.summary["beta"] == pytest.approx(-shift, abs=1e-7)
 
     @pytest.mark.parametrize("classes", [set(), {2}])
     def test_bad_class_set_rejected(self, classes):
         # empty, or a class id past the model's two logits
         model, buf = self.identity_optimum_setup()
         with pytest.raises(ValueError):
-            fit_bic(model, buf, classes, fit_config(50), np.random.default_rng(16))
+            fit_bic(model, buf, classes)
 
     def test_negative_class_rejected(self):
         model, buf = self.identity_optimum_setup()
         with pytest.raises(ValueError, match="class id -1 out of range for 2 logits"):
-            fit_bic(model, buf, {-1}, fit_config(50), np.random.default_rng(16))
+            fit_bic(model, buf, {-1})
 
     def test_backbone_parameters_untouched(self):
         model, buf = self.identity_optimum_setup()
         before = model.params.copy()
-        fit_bic(model, buf, {1}, fit_config(50), np.random.default_rng(9))
+        fit_bic(model, buf, {1})
         np.testing.assert_array_equal(model.params, before)
 
 
@@ -214,27 +179,24 @@ class TestFitCbic:
 
     def test_unbiased_model_keeps_zero_offsets(self):
         model, buf, partition = self.symmetric_setup()
-        corr = fit_cbic(model, buf, partition,
-                        BiasFitConfig(epochs=300, batch_size=2, lr=0.05),
-                        np.random.default_rng(10))
-        np.testing.assert_allclose(corr.summary["betas"], 0.0, atol=0.1)
+        corr = fit_cbic(model, buf, partition)
+        np.testing.assert_allclose(corr.summary["betas"], 0.0, atol=1e-7)
 
     def test_first_task_offset_pinned_to_zero(self):
         model = linear_model(np.eye(4), bias=[0, 0, 3.0, 3.0])
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
-        corr = fit_cbic(model, buf, {0: 0, 1: 0, 2: 1, 3: 1},
-                        BiasFitConfig(epochs=100, batch_size=4, lr=0.1),
-                        np.random.default_rng(11))
+        corr = fit_cbic(model, buf, {0: 0, 1: 0, 2: 1, 3: 1})
         assert corr.summary["betas"][0] == 0.0
-        assert corr.summary["betas"][1] < -0.5  # pushes the over-boosted task down
+        # the over-boosted task is pushed down by exactly its boost
+        assert corr.summary["betas"][1] == pytest.approx(-3.0, abs=1e-7)
 
-    def test_single_task_stays_identity(self):
+    def test_single_task_stays_identity(self, monkeypatch):
         model = linear_model(np.eye(2))
         buf = buffer_of(np.eye(2), labels=[0, 1])
-        corr = fit_cbic(model, buf, {0: 0, 1: 0},
-                        BiasFitConfig(epochs=50, batch_size=2, lr=0.1),
-                        np.random.default_rng(12))
-        np.testing.assert_array_equal(corr.summary["betas"], [0.0])
+        forwards = count_forwards(monkeypatch)
+        corr = fit_cbic(model, buf, {0: 0, 1: 0})
+        assert forwards == []
+        assert corr.summary["betas"] == [0.0] and corr.summary["iterations"] == 0
         logits = np.random.default_rng(13).normal(size=(3, 2))
         np.testing.assert_array_equal(corr.apply(logits), logits)
 
@@ -242,9 +204,7 @@ class TestFitCbic:
         # mid-stream fit: only the first task's classes are mapped
         model = linear_model(np.eye(4))
         buf = buffer_of(np.eye(4)[:2], labels=[0, 1])
-        corr = fit_cbic(model, buf, {0: 0, 1: 0},
-                        BiasFitConfig(epochs=20, batch_size=2, lr=0.1),
-                        np.random.default_rng(14))
+        corr = fit_cbic(model, buf, {0: 0, 1: 0})
         assert len(corr.summary["betas"]) == 1
 
     def test_class_without_logit_rejected(self):
@@ -252,96 +212,41 @@ class TestFitCbic:
         model = linear_model(np.eye(4))
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id 9 out of range for 4 logits"):
-            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, 9: 1},
-                     fit_config(5), np.random.default_rng(17))
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, 9: 1})
 
     def test_negative_class_rejected(self):
         # class -1 would map onto logit 3 and leave task 1's offset stuck
         model = linear_model(np.eye(4))
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
-            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1},
-                     fit_config(5), np.random.default_rng(17))
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1})
 
     def test_negative_task_rejected(self):
         # task -1 would give class 2 the last task's offset, betas[-1]
         model = linear_model(np.eye(4))
         buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="task id -1 is negative"):
-            fit_cbic(model, buf, {0: 0, 1: 0, 2: -1, 3: 1},
-                     fit_config(5), np.random.default_rng(17))
+            fit_cbic(model, buf, {0: 0, 1: 0, 2: -1, 3: 1})
 
     def test_backbone_parameters_untouched(self):
         model, buf, partition = self.symmetric_setup()
         before = model.params.copy()
-        fit_cbic(model, buf, partition, fit_config(50), np.random.default_rng(15))
+        fit_cbic(model, buf, partition)
         np.testing.assert_array_equal(model.params, before)
 
 
-# -- the fit against the full-softmax minibatch loop ---------------------------
-
-def reference_descend(model, buffer, params, corrected, grad, config, rng):
-    """The fit's minibatch loop over the full ``(n, k)`` logits: softmax of
-    every corrected logit, minus the one-hot label, mapped to the gradient of
-    ``params`` by ``grad``."""
-    feats, labels = buffer.as_arrays()
-    logits, _ = model.forward(feats)
-    for _ in range(config.epochs):
-        order = rng.permutation(logits.shape[0])
-        for start in range(0, order.size, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            o = logits[rows]
-            dq = softmax(corrected(params, o))
-            dq[np.arange(rows.size), labels[rows]] -= 1.0
-            dq /= rows.size
-            params -= config.lr * grad(dq, o)
-    return params
-
-
-def reference_fit_bic(model, buffer, classes, config, rng):
-    idx = sorted(classes)
-
-    def corrected(p, o):
-        q = o.copy()
-        q[:, idx] = p[0] * o[:, idx] + p[1]
-        return q
-
-    def grad(dq, o):
-        return np.array([(dq[:, idx] * o[:, idx]).sum(), dq[:, idx].sum()])
-
-    return reference_descend(model, buffer, np.array([1.0, 0.0]), corrected, grad, config, rng)
-
-
-def reference_fit_cbic(model, buffer, partition, config, rng):
-    k = model.layer_dims[-1]
-    n_tasks = max(partition.values()) + 1
-    mapped = np.array([c in partition for c in range(k)])
-    task_idx = np.array([partition.get(c, 0) for c in range(k)])
-
-    def corrected(betas, o):
-        return o + np.where(mapped, betas[task_idx], 0.0)
-
-    def grad(dq, o):
-        d_betas = np.zeros(n_tasks)
-        np.add.at(d_betas, task_idx[mapped], dq.sum(axis=0)[mapped])
-        d_betas[0] = 0.0
-        return d_betas
-
-    return reference_descend(model, buffer, np.zeros(n_tasks), corrected, grad, config, rng)
-
+# -- the fit against the optimum of the full-softmax loss ----------------------
 
 def random_fit_case(seed, scale=None):
     """A buffer of n one-hot rows whose logits under a linear model are
     uniform in [-scale, scale] (k 2-8, n 3-60, scale at most 10 unless
-    given), with random labels and a random minibatch size (1-8)."""
+    given), with random labels."""
     rng = np.random.default_rng(seed)
     k, n = int(rng.integers(2, 9)), int(rng.integers(3, 61))
     scale = rng.uniform(0.1, 10.0) if scale is None else scale
     model = linear_model(rng.uniform(-scale, scale, size=(n, k)))
     buf = buffer_of(np.eye(n), labels=rng.integers(0, k, n).tolist())
-    config = BiasFitConfig(epochs=int(rng.integers(1, 21)), batch_size=int(rng.integers(1, 9)),
-                           lr=float(rng.choice([0.01, 0.05, 0.1])))
-    return rng, k, model, buf, config
+    return rng, k, model, buf
 
 
 def bic_classes(kind, k, rng):
@@ -360,78 +265,89 @@ def cbic_partition(kind, k, rng):
 
 
 def buffer_ce(logits, labels):
-    """Mean cross-entropy, stable at any logit scale."""
+    """Mean cross-entropy over every logit, stable at any logit scale."""
     lse = np.logaddexp.reduce(logits, axis=1)
     return float((lse - logits[np.arange(labels.size), labels]).mean())
 
 
-class TestFitMatchesFullSoftmax:
-    """The fit works on each row's free logits plus one log-sum-exp of the
-    rest; it must make the same draws and reach the same parameters as the
-    loop over every logit, up to rounding."""
+def assert_full_softmax_optimum(model, buf, params, shift_of, summary):
+    """``params`` minimise the buffer cross-entropy over all k logits under
+    ``shift_of(params)``: each parameter's central-difference gradient is
+    about 0, the loss is no higher than at zero shift, and the summary
+    reports both losses."""
+    feats, labels = buf.as_arrays()
+    logits, _ = model.forward(feats)
+    params = np.asarray(params, dtype=float)
 
+    def loss(p):
+        return buffer_ce(logits + shift_of(p), labels)
+
+    h = 1e-5
+    for i in range(params.size):
+        e = np.zeros(params.size)
+        e[i] = h
+        assert abs(loss(params + e) - loss(params - e)) / (2 * h) <= 1e-6, (i, params)
+    at_zero = loss(np.zeros(params.size))
+    assert loss(params) <= at_zero
+    assert summary["ce_before"] == pytest.approx(at_zero, rel=1e-12, abs=1e-12)
+    assert summary["ce_after"] == pytest.approx(loss(params), rel=1e-12, abs=1e-12)
+    # at logit scale 300 rounding can end the line search just above GRAD_TOL
+    assert summary["grad_max_norm"] <= 1e-6
+
+
+def assert_bic_optimum(model, buf, classes):
+    s = fit_bic(model, buf, classes).summary
+    k = model.layer_dims[-1]
+    assert_full_softmax_optimum(model, buf, [s["beta"]],
+                                lambda p: bic_shift(p[0], classes, k), s)
+
+
+def assert_cbic_optimum(model, buf, partition):
+    s = fit_cbic(model, buf, partition).summary
+    k = model.layer_dims[-1]
+    if len(s["betas"]) == 1:       # only task 0: nothing is fitted
+        assert s["ce_before"] is None and s["iterations"] == 0
+        return
+    # task 0 is pinned: the free parameters are the later tasks' offsets
+    assert_full_softmax_optimum(model, buf, s["betas"][1:],
+                                lambda p: cbic_shift(np.append(0.0, p), partition, k), s)
+
+
+class TestFitIsTheFullSoftmaxOptimum:
+    """The fit works on each row's per-group log-sum-exps plus one of the
+    rest; its shifts must still zero the gradient of the cross-entropy over
+    every logit, computed here without that reduction."""
+
+    @pytest.mark.parametrize("scale", [None, 300.0])
     @pytest.mark.parametrize("kind", ["random", "all-classes"])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bic(self, seed, kind):
-        rng, k, model, buf, config = random_fit_case(seed)
-        classes = bic_classes(kind, k, rng)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = reference_fit_bic(model, buf, classes, config, ref_rng)
-        corr = fit_bic(model, buf, classes, config, rng)
-        s = corr.summary
-        np.testing.assert_allclose([s["alpha"], s["beta"]], expected, rtol=0, atol=1e-12)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bic(self, seed, kind, scale):
+        rng, k, model, buf = random_fit_case(seed, scale)
+        assert_bic_optimum(model, buf, bic_classes(kind, k, rng))
 
+    @pytest.mark.parametrize("scale", [None, 300.0])
     @pytest.mark.parametrize("kind", ["random", "unmapped", "empty-task"])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_cbic(self, seed, kind):
-        rng, k, model, buf, config = random_fit_case(seed)
-        partition = cbic_partition(kind, k, rng)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = reference_fit_cbic(model, buf, partition, config, ref_rng)
-        corr = fit_cbic(model, buf, partition, config, rng)
-        assert np.shape(corr.summary["betas"]) == expected.shape
-        np.testing.assert_allclose(corr.summary["betas"], expected, rtol=0, atol=1e-12)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cbic(self, seed, kind, scale):
+        rng, k, model, buf = random_fit_case(seed, scale)
+        assert_cbic_optimum(model, buf, cbic_partition(kind, k, rng))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_large_logits_stay_finite_and_do_not_raise_the_loss(self, seed):
-        # At logit scale 300 both loops lose digits to p - y near p = 1, so
-        # they are not compared. The step is sized for such logits: the
-        # gradient of alpha grows with them, and at the run's lr of 0.01 the
-        # fixed-step descent can overshoot, in either loop.
-        rng, k, model, buf, _ = random_fit_case(seed, scale=300.0)
-        config = BiasFitConfig(epochs=50, batch_size=32, lr=0.001)
-        feats, labels = buf.as_arrays()
-        logits, _ = model.forward(feats)
-        identity = buffer_ce(logits, labels)
-        bic = fit_bic(model, buf, bic_classes("random", k, rng), config,
-                      np.random.default_rng(seed))
-        cbic = fit_cbic(model, buf, cbic_partition("random", k, rng), config,
-                        np.random.default_rng(seed))
-        assert np.isfinite([bic.summary["alpha"], bic.summary["beta"]]).all()
-        assert np.isfinite(cbic.summary["betas"]).all()
-        assert buffer_ce(bic.apply(logits), labels) <= identity
-        assert buffer_ce(cbic.apply(logits), labels) <= identity
+    def test_underflowing_group(self, seed):
+        # One labelled class sits 1000 below every other logit, so its
+        # probability is exactly 0 on every row and the Hessian is singular
+        # in its group's shift: the damping keeps the step finite.
+        rng, k, model, buf = random_fit_case(seed)
+        low = int(buf.as_arrays()[1][0])
+        model.biases[0][low] -= 1000.0
+        assert_bic_optimum(model, buf, {low})
+        partition = {c: int(rng.integers(0, 3)) for c in range(k)}
+        partition[low] = 3
+        assert_cbic_optimum(model, buf, partition)
 
 
-class CountingRng:
-    """A generator that counts the methods the code under test looks up."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, Counter()
-
-    def __getattr__(self, name):
-        self.calls[name] += 1
-        return getattr(self.rng, name)
-
-
-@pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
-                                      (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
-@pytest.mark.parametrize("epochs", [0, 1, 7])
-def test_one_forward_and_one_permutation_per_epoch(monkeypatch, fit, arg, epochs):
-    model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
-    buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
+def count_forwards(monkeypatch):
+    """Record the input shape of every later ``Mlp.forward``."""
     forwards = []
     forward = Mlp.forward
 
@@ -439,7 +355,15 @@ def test_one_forward_and_one_permutation_per_epoch(monkeypatch, fit, arg, epochs
         forwards.append(inputs.shape)
         return forward(self, inputs)
     monkeypatch.setattr(Mlp, "forward", counting_forward)
-    rng = CountingRng(np.random.default_rng(2))
-    fit(model, buf, arg, BiasFitConfig(epochs=epochs, batch_size=4, lr=0.1), rng)
+    return forwards
+
+
+@pytest.mark.parametrize("fit, arg", [(fit_bic, {1, 3}),
+                                      (fit_cbic, {0: 0, 1: 0, 2: 1, 3: 2})])
+def test_one_forward_per_fit(monkeypatch, fit, arg):
+    model = linear_model(np.random.default_rng(1).normal(size=(6, 4)))
+    buf = buffer_of(np.eye(6), labels=[0, 1, 2, 3, 0, 1])
+    forwards = count_forwards(monkeypatch)
+    corr = fit(model, buf, arg)
+    assert corr.summary["iterations"] > 0
     assert forwards == [(6, 6)]
-    assert rng.calls == Counter({"permutation": epochs} if epochs else {})

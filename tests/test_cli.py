@@ -59,6 +59,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("buffersize = 10")
 
+    @pytest.mark.parametrize("key", ["bias.epochs", "bias.batch_size", "bias.lr"])
+    def test_removed_bias_fit_key_is_unknown(self, key):
+        # the shift fit runs to convergence: it has no epochs, batch or step
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 1")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("buffer_capacity = many")
@@ -72,7 +78,7 @@ class TestConfigParsing:
         cfg = load_experiment_config(path, {"buffer_capacity": 99})
         assert cfg["buffer_capacity"] == 99          # override
         assert cfg["stream_batch_size"] == 5         # file
-        assert cfg["bias.epochs"] == 50              # default
+        assert cfg["decay_fraction"] == 1.0 / 6.0   # default
 
     def test_exclusive_tricks_rejected(self, tmp_path):
         path = write_config(tmp_path, TINY_CONFIG + "tricks = brs,lars\n")
@@ -87,15 +93,13 @@ class TestConfigParsing:
                      "replay_enabled": False,
                      "aug.max_shift": 1, "aug.hflip_prob": 0.25,
                      "aug.stream_enabled": True, "image_dims": (4, 2, 1),
-                     "bias.epochs": 9, "bias.batch_size": 11, "bias.lr": 0.2,
                      "synthetic.feature_dim": 8}
         got = train_config_from_experiment(load_experiment_config(None, overrides), 5)
         assert got == TrainConfig(
             buffer_capacity=7, replay_batch_size=3, stream_batch_size=4,
             epochs_per_task=2, hidden_dims=(5, 6), lr0=0.3, decay_fraction=0.5,
             iba=True, cbic=True, elrd=True, replay_enabled=False, aug_max_shift=1, aug_hflip_prob=0.25,
-            aug_stream_enabled=True, image_dims=(4, 2, 1), bias_epochs=9,
-            bias_batch_size=11, bias_lr=0.2, seed=5)
+            aug_stream_enabled=True, image_dims=(4, 2, 1), seed=5)
         # every field outside the unset tricks moved off its default
         unset = {"bic", "brs", "lars"}
         assert all(getattr(got, f.name) != getattr(TrainConfig(), f.name)
@@ -444,15 +448,13 @@ class TestExitCodes:
         "hidden_dims = 0",
         "hidden_dims = 8,0",
         "seeds = 0,-1",
-        "tricks = bic\nbias.batch_size = 0",
-        "tricks = bic\nbias.lr = -1",
-        "tricks = bic\nbias.lr = nan",
-        "tricks = bic\nbias.lr = inf",
+        "tricks = bic\nbias.epochs = 50",
+        "tricks = bic\nbias.batch_size = 32",
+        "tricks = bic\nbias.lr = 0.01",
         "lr0 = nan",
         "lr0 = inf",
         "synthetic.separation = nan",
         "synthetic.separation = inf",
-        "bias.epochs = -3",
         "aug.max_shift = 9",
         "aug.max_shift = -1",
         "aug.hflip_prob = 2",

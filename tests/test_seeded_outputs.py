@@ -36,7 +36,7 @@ from replay_lab.trainer import TrainConfig, run_class_il
 STREAM = dict(class_count=6, per_class_train=40, per_class_test=15,
               feature_dim=16, separation=4.0, classes_per_task=2, seed=3)
 BASE = dict(buffer_capacity=18, replay_batch_size=8, stream_batch_size=10,
-            hidden_dims=(12,), lr0=0.1, bias_epochs=5, bias_batch_size=8, seed=1)
+            hidden_dims=(12,), lr0=0.1, seed=1)
 
 CASES = {
     "reservoir": dict(),
@@ -53,32 +53,32 @@ IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_ma
 
 DIGESTS = {
     "reservoir":
-        "13f75b0fe3a935c0b20fa3fef4fc09fcf6890043bd544eb874dfa74e1338b02a",
+        "03764ee558702cf3d072aeb73af26ea4d4f4a0640aed3f83c1c49ebc18e096f7",
     "brs-cbic":
-        "85ddfa4c4e01fe4216f5afc1c6bf5619a0d8b6d24555daed208d5c0d036c9468",
+        "8ed5efe2c330231765f39a93a8250f85a912882dea15a7faee264fa9c043f41d",
     "sgd-cbic":
-        "cdb8af9cbb0b7590c0e823b532cbb47e093ceea56b570c8c633ba253ce1c59a0",
+        "82b99c5dadbad827b666593a317d348e8403a21dd19ff658dae3cd0b0b4811c2",
     "lars-bic-elrd":
-        "2f558c17e41f2ec14869aa7ba030405e5e62f44f73654a3b2231f43b34f6d994",
+        "4d588f875fce0a4caa000a53c400b89b7400016ba69ef12b9b2b737cd1f67adb",
     "iba-stream-aug":
-        "bbcb89e4f3a4fb991480ce1a0fb4c47465807cbd409ff0356db972f042e7a48d",
+        "c3571d03c3130d3dde3013d4370a7910c1c2f3825b17ef48234abdb758a6d5fe",
     IDX_CASE:
-        "64ccc0857081bbc0e5446e793dcf2cecd5b8397a974dcd1b17300cdd97aaf43e",
+        "ed80403dfed1ff5741f1a8aaa1b3f2509a538249e7a11d967fbfc1033cf3fced",
 }
 
 ROUNDED_DIGESTS = {
     "reservoir":
-        "da809637dc5c0ca140eb015157b3be0b0f13ffffad6a23ac8b4793a73f36c087",
+        "1db482a7a7e5a854370ea62520d77e5c98a111c1831abaead9a32562640d766e",
     "brs-cbic":
-        "8686c9ba66fd73c94f5c28786be1e43f02e9aafa1a178ce126231794030d6752",
+        "c7ca4b93d5a727c9bd7fe4fae18649773992b48c772fa70c1853e44c093ddec5",
     "sgd-cbic":
-        "2f269886a8584d163e3ac616a27c66ff0aefa4c4ad252dd27dc51ce70f459feb",
+        "7e6a56d56385855ff4273d59157314297555545dbe5a2ab03d54010ff78ef15d",
     "lars-bic-elrd":
-        "e942a6d0aa5cb6db16cdcaf108d81cb68bf6e5c3de0cabe8f4a2db3943c4858e",
+        "50545f7db8a8b0e6bb8a1e7502c4e4bc2543e63616f84f822a29a2e706515ad4",
     "iba-stream-aug":
-        "64a910aefad4f1dd9ff43b92ed8c8d359052483ceaa0a5b461394535901e7229",
+        "cce138733c4f96efbac901a50cce43e14b810378e1616f652658804c14ae0eb1",
     IDX_CASE:
-        "5d558aca7c848d73d95f849d2edc8b3601e319fe70dce6abd119f9f47d9963b7",
+        "d0f01c42c0b4e18b76f29c39b5f747a38248fdcc4292566eec4f4cd2e34ff172",
 }
 
 
@@ -151,5 +151,5 @@ def test_balance_toy_counts_are_pinned():
 
 def test_default_config_hash_is_pinned():
     got = load_experiment_config(None, {}).config_hash()
-    assert got == "e4744e5ece315dfc4d553c3f0ba280ec05012eddd58f38c1296e3c56d9deaff1", \
+    assert got == "831a37b222c6ebef87d84ac0b7eccd015bb86c91cf391817048f97ffa4f29910", \
         f"default config hash is {got}"
