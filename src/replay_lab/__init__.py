@@ -15,7 +15,6 @@ from .mlp import (Mlp, finite_difference_grads, gradient_check, softmax,
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        RING, STRATEGIES, ReplayBuffer, ScoreVectors,
                        lars_scores, omission_probability)
-from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 from .trainer import (AblationRow, RngStreams, StepInfo, TrainConfig,
                       TrainState, ablation_configs, ablation_suite, er_train_step,
                       init_state, merge_tasks, method_label, run_class_il,

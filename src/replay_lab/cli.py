@@ -87,7 +87,8 @@ def _config_key(field_name: str) -> str:
 
 
 # TrainConfig fields with a config key of their own: not the trick booleans
-# (from ``tricks``), ``seed`` (from ``seeds``) or ``image_dims`` (inferred).
+# (from ``tricks``), ``seed`` (from ``seeds``) or ``image_dims`` (from the
+# dataset).
 _TRAIN_FIELDS = tuple(f for f in fields(TrainConfig)
                       if f.name not in (*TRICK_TOKENS, "seed", "image_dims"))
 _PARSER_BY_TYPE = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_list}
@@ -101,7 +102,6 @@ CONFIG_KEYS: dict[str, tuple[object, object]] = {
     "seeds": ((0,), _parse_int_list),
     "classes_per_task": (2, int),
     "tricks": ((), _parse_tricks),
-    "image_dims": ((), _parse_int_list),            # empty -> inferred
     **{_config_key(f.name): (f.default, _PARSER_BY_TYPE[type(f.default)])
        for f in _TRAIN_FIELDS},
     "synthetic.class_count": (10, int),
@@ -227,12 +227,11 @@ def _dataset_shape(cfg: ExperimentConfig) -> tuple[int, int, tuple[int, ...] | N
 def train_config_from_experiment(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     """Copy each ``TrainConfig`` field from its config key (``aug_max_shift``
     from ``aug.max_shift``); each trick token sets the boolean of the same
-    name. Empty ``image_dims`` is inferred from the dataset."""
+    name; ``image_dims`` is the dataset's."""
     kwargs = {f.name: cfg[_config_key(f.name)] for f in _TRAIN_FIELDS}
     kwargs.update({t: t in cfg["tricks"] for t in TRICK_TOKENS})
-    image_dims = tuple(cfg["image_dims"]) or _dataset_shape(cfg)[2]
     try:
-        return TrainConfig(**kwargs, image_dims=image_dims, seed=seed)
+        return TrainConfig(**kwargs, image_dims=_dataset_shape(cfg)[2], seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -266,10 +266,8 @@ def synthetic_class_il_stream(class_count: int, per_class_train: int,
     per_class = per_class_train + per_class_test
     features, labels = _raw_blobs(class_count, per_class, feature_dim, separation, rng)
     features = _rescale_unit(features)
-    train_mask = np.zeros(len(labels), dtype=bool)
-    for c in range(class_count):
-        idx = np.flatnonzero(labels == c)
-        train_mask[idx[:per_class_train]] = True
+    # rows come class by class: the first per_class_train of each are train
+    train_mask = np.arange(len(labels)) % per_class < per_class_train
     train = Dataset(features[train_mask], labels[train_mask], class_count)
     test = Dataset(features[~train_mask], labels[~train_mask], class_count)
     return make_class_il_tasks(train, test, classes_per_task, rng)
@@ -279,15 +277,13 @@ def _raw_blobs(class_count, per_class, feature_dim, separation, rng):
     # Axis c % d at magnitude (1 + c // d) * separation: same-axis means are
     # multiples of separation apart, cross-axis pairs at least sqrt(2) *
     # separation, so every pair is >= separation apart.
+    classes = np.arange(class_count)
     means = np.zeros((class_count, feature_dim))
-    for c in range(class_count):
-        means[c, c % feature_dim] = (1 + c // feature_dim) * separation
-    features = np.vstack([
-        rng.normal(loc=means[c], scale=1.0, size=(per_class, feature_dim))
-        for c in range(class_count)
-    ])
-    labels = np.repeat(np.arange(class_count), per_class)
-    return features, labels
+    means[classes, classes % feature_dim] = (1 + classes // feature_dim) * separation
+    # unit-normal draws, class by class, moved onto each class's mean in place
+    features = rng.normal(size=(class_count, per_class, feature_dim))
+    features += means[:, None, :]
+    return features.reshape(-1, feature_dim), np.repeat(classes, per_class)
 
 
 def _rescale_unit(features: np.ndarray) -> np.ndarray:

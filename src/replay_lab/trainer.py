@@ -2,9 +2,9 @@
 
 Each step optimizes the sum of two batch means (stream cross-entropy plus
 replay cross-entropy) in one pass over the stacked stream and replay rows,
-updates the buffer under the configured strategy, and advances the
-per-example learning-rate schedule. A bias correction is fitted on the
-buffer at task boundaries and applied at evaluation time only.
+updates the buffer under the configured strategy, and advances the stream
+example counter that sets the learning rate. A bias correction is fitted on
+the buffer at task boundaries and applied at evaluation time only.
 
 A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
@@ -26,9 +26,11 @@ from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          task_prediction_distribution)
 from .mlp import Mlp, softmax_cross_entropy
 from .sampling import BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR, ReplayBuffer
-from .schedule import ExpDecaySchedule, gamma_for_final_fraction
 
 TRICK_TOKENS = ("iba", "bic", "cbic", "elrd", "brs", "lars")
+
+# With ELRD, the rate used at a run's final step is this fraction of lr0.
+ELRD_FINAL_FRACTION = 1.0 / 6.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class TrainConfig:
     elrd: bool = False
     brs: bool = False
     lars: bool = False
-    decay_fraction: float = 1.0 / 6.0
     replay_enabled: bool = True
     aug_max_shift: int = 0
     aug_hflip_prob: float = 0.0
@@ -71,8 +72,6 @@ class TrainConfig:
             raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
-        if not 0.0 < self.decay_fraction <= 1.0:
-            raise ValueError("decay_fraction must be in (0, 1]")
         if self.brs and self.lars:
             raise ValueError("brs and lars are mutually exclusive")
         if self.bic and self.cbic:
@@ -118,9 +117,14 @@ class RngStreams:
 
 @dataclass
 class TrainState:
+    """One run's mutable state. The learning rate after ``examples_seen``
+    stream examples is ``lr0 * exp(examples_seen * log_decay)``: it spans the
+    whole stream and never resets at a task boundary. Replayed items do not
+    advance the counter. ``log_decay`` is 0.0 without ELRD."""
+
     model: Mlp
     buffer: ReplayBuffer
-    schedule: ExpDecaySchedule
+    log_decay: float
     rngs: RngStreams
     aug_policy: AugPolicy
     examples_seen: int = 0
@@ -157,7 +161,7 @@ def er_train_step(state: TrainState, features: np.ndarray, labels: np.ndarray,
     if n == 0:
         raise ValueError("stream batch must be non-empty")
     rngs = state.rngs
-    lr = state.schedule.lr_at(state.examples_seen)
+    lr = config.lr0 * math.exp(state.examples_seen * state.log_decay)
 
     train_feats = (augment(state.aug_policy, features, rngs.stream_aug)
                    if config.aug_stream_enabled else features)
@@ -207,15 +211,18 @@ def _final_step_offset(task_sizes, epochs: int, batch: int) -> int:
     return total - last
 
 
-def _build_schedule(config: TrainConfig, task_sizes) -> ExpDecaySchedule:
+def _log_decay(config: TrainConfig, task_sizes) -> float:
+    """The log of the per-example decay factor: 0.0 without ELRD, else set
+    so that the rate used at the final step (not one batch later) is
+    ``lr0 * ELRD_FINAL_FRACTION``."""
     if not config.elrd:
-        return ExpDecaySchedule(lr0=config.lr0, gamma=1.0)
-    # Calibrate gamma so the rate used at the final step (not one batch
-    # later) lands exactly on lr0 * decay_fraction.
-    n_sched = max(_final_step_offset(task_sizes, config.epochs_per_task,
-                                     config.stream_batch_size), 1)
-    return ExpDecaySchedule(lr0=config.lr0,
-                            gamma=gamma_for_final_fraction(config.decay_fraction, n_sched))
+        return 0.0
+    n = max(_final_step_offset(task_sizes, config.epochs_per_task,
+                               config.stream_batch_size), 1)
+    # the log of the rounded per-example factor: the seeded digests pin the
+    # rates it gives, and lr0 * f ** (N / n) would round almost every one
+    # differently
+    return math.log(ELRD_FINAL_FRACTION ** (1.0 / n))
 
 
 def aug_policy(config: TrainConfig, feature_dim: int) -> AugPolicy:
@@ -233,8 +240,8 @@ def init_state(task_stream: TaskStream, config: TrainConfig) -> TrainState:
     dims = [task_stream.feature_dim, *config.hidden_dims, task_stream.class_count]
     model = Mlp(dims, rngs.init)
     buffer = ReplayBuffer(config.buffer_capacity, config.strategy, task_stream.class_count)
-    schedule = _build_schedule(config, [len(t.train_labels) for t in task_stream.tasks])
-    return TrainState(model=model, buffer=buffer, schedule=schedule, rngs=rngs,
+    log_decay = _log_decay(config, [len(t.train_labels) for t in task_stream.tasks])
+    return TrainState(model=model, buffer=buffer, log_decay=log_decay, rngs=rngs,
                       aug_policy=aug_policy(config, task_stream.feature_dim))
 
 

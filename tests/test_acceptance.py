@@ -144,7 +144,7 @@ def test_criterion_04_gradient_correctness_and_mutation_detection():
 
 def test_criterion_05_elrd_wiring():
     stream = smoke_stream()
-    config = TrainConfig(seed=0, elrd=True, decay_fraction=1 / 6, **SMOKE_CONFIG)
+    config = TrainConfig(seed=0, elrd=True, **SMOKE_CONFIG)
     state = init_state(stream, config)
     per_task = [[info.lr for info in _train_one_task(state, task, config)]
                 for task in stream.tasks]

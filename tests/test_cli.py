@@ -59,9 +59,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("buffersize = 10")
 
-    @pytest.mark.parametrize("key", ["bias.epochs", "bias.batch_size", "bias.lr"])
+    @pytest.mark.parametrize("key", ["bias.epochs", "bias.batch_size", "bias.lr",
+                                     "decay_fraction", "image_dims"])
     def test_removed_bias_fit_key_is_unknown(self, key):
-        # the shift fit runs to convergence: it has no epochs, batch or step
+        # the shift fit runs to convergence: it has no epochs, batch or step;
+        # ELRD always ends at lr0 / 6, and the image dims are the dataset's
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             parse_config_text(f"{key} = 1")
 
@@ -78,7 +80,7 @@ class TestConfigParsing:
         cfg = load_experiment_config(path, {"buffer_capacity": 99})
         assert cfg["buffer_capacity"] == 99          # override
         assert cfg["stream_batch_size"] == 5         # file
-        assert cfg["decay_fraction"] == 1.0 / 6.0   # default
+        assert cfg["epochs_per_task"] == 1           # default
 
     def test_exclusive_tricks_rejected(self, tmp_path):
         path = write_config(tmp_path, TINY_CONFIG + "tricks = brs,lars\n")
@@ -87,19 +89,18 @@ class TestConfigParsing:
 
     def test_config_keys_reach_their_train_config_fields(self):
         assert train_config_from_experiment(load_experiment_config(None, {}), 0) == TrainConfig()
-        overrides = {"buffer_capacity": 7, "replay_batch_size": 3, "stream_batch_size": 4,
+        # Fashion-MNIST's 28x28 images admit a shift; loading reads no data
+        overrides = {"dataset": "fashion-mnist",
+                     "buffer_capacity": 7, "replay_batch_size": 3, "stream_batch_size": 4,
                      "epochs_per_task": 2, "hidden_dims": (5, 6), "lr0": 0.3,
-                     "decay_fraction": 0.5, "tricks": ("iba", "cbic", "elrd"),
-                     "replay_enabled": False,
-                     "aug.max_shift": 1, "aug.hflip_prob": 0.25,
-                     "aug.stream_enabled": True, "image_dims": (4, 2, 1),
-                     "synthetic.feature_dim": 8}
+                     "tricks": ("iba", "cbic", "elrd"), "replay_enabled": False,
+                     "aug.max_shift": 1, "aug.hflip_prob": 0.25, "aug.stream_enabled": True}
         got = train_config_from_experiment(load_experiment_config(None, overrides), 5)
         assert got == TrainConfig(
             buffer_capacity=7, replay_batch_size=3, stream_batch_size=4,
-            epochs_per_task=2, hidden_dims=(5, 6), lr0=0.3, decay_fraction=0.5,
+            epochs_per_task=2, hidden_dims=(5, 6), lr0=0.3,
             iba=True, cbic=True, elrd=True, replay_enabled=False, aug_max_shift=1, aug_hflip_prob=0.25,
-            aug_stream_enabled=True, image_dims=(4, 2, 1), seed=5)
+            aug_stream_enabled=True, image_dims=(28, 28, 1), seed=5)
         # every field outside the unset tricks moved off its default
         unset = {"bic", "brs", "lars"}
         assert all(getattr(got, f.name) != getattr(TrainConfig(), f.name)
@@ -122,6 +123,16 @@ class TestConfigParsing:
         assert a.config_hash() == b.config_hash()
         b.values["lr0"] = 0.2
         assert a.config_hash() != b.config_hash()
+
+
+def test_readme_lists_exactly_the_modules():
+    root = Path(__file__).parents[1]
+    table = (root / "README.md").read_text().split("## What's inside", 1)[1].split("\n## ")[0]
+    listed = [line.split("`")[1] for line in table.splitlines()
+              if line.startswith("| `replay_lab.")]
+    modules = [f"replay_lab.{p.stem}" for p in (root / "src" / "replay_lab").glob("*.py")
+               if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
 
 
 class TestCmdRun:

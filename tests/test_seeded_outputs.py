@@ -10,7 +10,9 @@ on OpenBLAS; another BLAS build may round matrix products differently.
 A second table hashes the same JSON with every float rounded to ten
 significant digits. A change that only reorders float summation moves the
 exact digests but not the rounded ones, so the pair tells "only rounding
-moved" apart from "a number moved".
+moved" apart from "a number moved". A third table keeps the exact digests
+from before a configuration key was removed, and checks that the report
+with the key put back still hashes to them.
 
 One more case runs the image path end to end: 28x28 IDX files that the
 test writes, read by ``load_fashion_mnist``, split into tasks and trained
@@ -53,6 +55,39 @@ IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_ma
 
 DIGESTS = {
     "reservoir":
+        "28555db2719b137543cb0d30274ef0b973378d19fa810688329851092df481ff",
+    "brs-cbic":
+        "90fea93abfc2a047b57af53394573fe7c9ffb9e0206bf2d85e076617841e701d",
+    "sgd-cbic":
+        "aba87762eb2abef6c1ebfb555e3ffa709ba71d85b63673ef982753bfb4643082",
+    "lars-bic-elrd":
+        "c75052f9afecdac628b566489cdd7b18decf9ea97beef0a19cdcee6b24b8b900",
+    "iba-stream-aug":
+        "03c9310ec4705d7d7e564d29507e299794f213032fb1412d2a80b3c385720506",
+    IDX_CASE:
+        "d1933ed2a1a9c1e8b9252aad733845d7a107a2159ee90d92306f2b2f11c6b20b",
+}
+
+ROUNDED_DIGESTS = {
+    "reservoir":
+        "d1c792dc9aefb898175e56d6d9bd6471cf6bbae24fa795cf5709e2d95b470712",
+    "brs-cbic":
+        "7c715fcd14be4f6ad04b7e1c82ef13b65bcab5dd740b9bf79f2c22f79a7fe60b",
+    "sgd-cbic":
+        "9f1d768e6a690a432947414025a2324eec11f4dd4c916832321c806a04f18306",
+    "lars-bic-elrd":
+        "582e92e7cc7b1b5d18338bd5a4c0453db37ee12dcbdad97ace5a373e3796cda1",
+    "iba-stream-aug":
+        "09f99392b377b392811480695ad6890c8e975bf4691dc0ed56ffe3cf8d42e80b",
+    IDX_CASE:
+        "f8fa3dcbb2352170e1b91189fe39bad88e2c7d18bcc369b5a2af1d430145ed92",
+}
+
+# The exact digests from before ``decay_fraction`` left the configuration,
+# when its one value was 1/6. A report with that key put back must hash to
+# them: dropping the key moved no number.
+DIGESTS_WITH_DECAY_FRACTION = {
+    "reservoir":
         "03764ee558702cf3d072aeb73af26ea4d4f4a0640aed3f83c1c49ebc18e096f7",
     "brs-cbic":
         "8ed5efe2c330231765f39a93a8250f85a912882dea15a7faee264fa9c043f41d",
@@ -66,21 +101,6 @@ DIGESTS = {
         "ed80403dfed1ff5741f1a8aaa1b3f2509a538249e7a11d967fbfc1033cf3fced",
 }
 
-ROUNDED_DIGESTS = {
-    "reservoir":
-        "1db482a7a7e5a854370ea62520d77e5c98a111c1831abaead9a32562640d766e",
-    "brs-cbic":
-        "c7ca4b93d5a727c9bd7fe4fae18649773992b48c772fa70c1853e44c093ddec5",
-    "sgd-cbic":
-        "7e6a56d56385855ff4273d59157314297555545dbe5a2ab03d54010ff78ef15d",
-    "lars-bic-elrd":
-        "50545f7db8a8b0e6bb8a1e7502c4e4bc2543e63616f84f822a29a2e706515ad4",
-    "iba-stream-aug":
-        "cce138733c4f96efbac901a50cce43e14b810378e1616f652658804c14ae0eb1",
-    IDX_CASE:
-        "d0f01c42c0b4e18b76f29c39b5f747a38248fdcc4292566eec4f4cd2e34ff172",
-}
-
 
 def rounded(value):
     """``value`` with every float rounded to ten significant digits."""
@@ -91,6 +111,10 @@ def rounded(value):
     if isinstance(value, list):
         return [rounded(v) for v in value]
     return value
+
+
+def with_decay_fraction(payload):
+    return dict(payload, config=dict(payload["config"], decay_fraction=1 / 6))
 
 
 def report_digest(report, transform=lambda payload: payload) -> str:
@@ -108,6 +132,7 @@ def test_seeded_report_digest_is_pinned(case):
     assert exact == DIGESTS[case], f"exact digest of {case!r} is {exact}"
     assert rounded_digest == ROUNDED_DIGESTS[case], \
         f"rounded digest of {case!r} is {rounded_digest}"
+    assert report_digest(report, with_decay_fraction) == DIGESTS_WITH_DECAY_FRACTION[case]
 
 
 def write_idx_images(path, labels, rng):
@@ -137,6 +162,7 @@ def test_idx_image_report_digest_is_pinned(tmp_path):
     assert exact == DIGESTS[IDX_CASE], f"exact digest of {IDX_CASE!r} is {exact}"
     assert rounded_digest == ROUNDED_DIGESTS[IDX_CASE], \
         f"rounded digest of {IDX_CASE!r} is {rounded_digest}"
+    assert report_digest(report, with_decay_fraction) == DIGESTS_WITH_DECAY_FRACTION[IDX_CASE]
 
 
 def test_balance_toy_counts_are_pinned():
@@ -151,5 +177,5 @@ def test_balance_toy_counts_are_pinned():
 
 def test_default_config_hash_is_pinned():
     got = load_experiment_config(None, {}).config_hash()
-    assert got == "831a37b222c6ebef87d84ac0b7eccd015bb86c91cf391817048f97ffa4f29910", \
+    assert got == "774bfd2a7270314729993ff17b4ab4bc9b7887ad5c1ca1d07acb51e6a6625b61", \
         f"default config hash is {got}"

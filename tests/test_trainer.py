@@ -1,6 +1,7 @@
 """Tests for the class-incremental training loop and its baselines."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.evaluation import average_final_accuracy, task_prediction_distribution
 from replay_lab.mlp import Mlp, softmax_cross_entropy
-from replay_lab.trainer import (TrainConfig, ablation_configs, ablation_suite, er_train_step,
+from replay_lab.trainer import (ELRD_FINAL_FRACTION, TrainConfig, ablation_configs,
+                                ablation_suite, er_train_step,
                                 init_state, method_label, merge_tasks,
                                 run_class_il, run_joint_baseline,
                                 run_sgd_baseline, _train_one_task)
@@ -191,14 +193,32 @@ class TestErTrainStep:
             er_train_step(state, np.empty((0, 8)), np.empty(0, dtype=int), config)
 
 
+def assert_elrd_rates(stream, config):
+    """The rates start at exactly lr0, fall at every step and end at
+    lr0 * ELRD_FINAL_FRACTION; each depends only on the stream examples seen
+    before its step."""
+    state, infos = run_training(stream, config)
+    lrs = [info.lr for info in infos]
+    assert lrs[0] == config.lr0
+    assert all(b < a for a, b in zip(lrs, lrs[1:]))
+    assert lrs[-1] == pytest.approx(config.lr0 * ELRD_FINAL_FRACTION, rel=1e-12)
+    seen = np.cumsum([0] + [len(info.per_item_losses) for info in infos[:-1]])
+    assert lrs == [config.lr0 * math.exp(int(n) * state.log_decay) for n in seen]
+
+
 class TestElrdWiring:
     def test_final_step_rate_hits_the_target_fraction(self):
-        stream = small_stream()
-        config = small_config(elrd=True, decay_fraction=1 / 6)
-        _, infos = run_training(stream, config)
-        lrs = [info.lr for info in infos]
-        assert lrs[0] == config.lr0
-        assert lrs[-1] == pytest.approx(config.lr0 / 6, rel=1e-6)
+        # a batch of 5 divides each task's 60 training rows
+        assert_elrd_rates(small_stream(), small_config(elrd=True))
+
+    # a batch of 7 does not divide a 60-row task, and 100 takes it in one
+    # step; the last case trains on 12000 examples
+    @pytest.mark.parametrize("per_class, batch, epochs",
+                             [(30, 7, 1), (30, 100, 1), (30, 7, 2), (1500, 32, 2)])
+    def test_rates_fall_from_lr0_to_the_final_fraction(self, per_class, batch, epochs):
+        stream = synthetic_class_il_stream(seed=0, **dict(SMOKE, per_class_train=per_class))
+        assert_elrd_rates(stream, small_config(elrd=True, stream_batch_size=batch,
+                                               epochs_per_task=epochs))
 
     def test_schedule_never_resets_at_task_boundaries(self):
         stream = small_stream()
