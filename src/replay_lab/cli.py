@@ -173,7 +173,7 @@ def load_experiment_config(path: str | None, overrides: dict) -> ExperimentConfi
     values = {key: default for key, (default, _) in CONFIG_KEYS.items()}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         values.update(parse_config_text(text))
@@ -289,7 +289,7 @@ class _OutputPair:
 
 def cmd_run(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
-    out = _OutputPair(args.out, "runs.csv", "report.json", "replay-lab-runs-v1")
+    out = _OutputPair(args.out, "runs.csv", "report.json", "replay-lab-runs-v2")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
 
@@ -323,7 +323,7 @@ def cmd_run(args) -> int:
 def cmd_ablation(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
     steps = ablation_configs(train_config_from_experiment(cfg, cfg["seeds"][0]))
-    out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v1")
+    out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v2")
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
     rows = ablation_suite(stream, steps, cfg["seeds"])
@@ -370,8 +370,8 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
             rng = np.random.default_rng(child)
             buf = ReplayBuffer(TOY_CAPACITY, strategy, TOY_CLASS_COUNT)
             buf.update(no_features, stream, zero_losses, rng)
-            for cls, n in buf.class_counts().items():
-                counts[strategy][rep, cls] = n
+            counts[strategy][rep] = np.bincount(buf.labels[:buf.n_filled],
+                                                minlength=TOY_CLASS_COUNT)
     return counts
 
 

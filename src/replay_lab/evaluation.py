@@ -31,7 +31,6 @@ class RunReport:
     task_pred_distribution_raw: list[float]
     buffer_class_counts: dict[int, int]
     buffer_balance_mse: float | None
-    buffer_slot_audit: list[tuple[int, int, float]]
     correction: dict | None
     examples_seen: int
     wall_clock_seconds: float
@@ -40,7 +39,6 @@ class RunReport:
     def to_json_dict(self) -> dict:
         out = asdict(self)
         out["buffer_class_counts"] = {str(k): v for k, v in self.buffer_class_counts.items()}
-        out["buffer_slot_audit"] = [list(t) for t in self.buffer_slot_audit]
         return out
 
 

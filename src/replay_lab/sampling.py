@@ -112,11 +112,6 @@ class ReplayBuffer:
             raise ValueError("buffer is empty")
         return self.features[:self.n_filled].copy(), self.labels[:self.n_filled].copy()
 
-    def audit(self) -> list[tuple[int, int, float]]:
-        """(slot id, label, loss score) triples for run-report serialization."""
-        n = self.n_filled
-        return list(zip(range(n), self.labels[:n].tolist(), self.loss[:n].tolist()))
-
     # -- updates ------------------------------------------------------------
 
     def update(self, features, labels, losses, rng: np.random.Generator) -> np.ndarray:

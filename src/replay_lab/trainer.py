@@ -294,7 +294,6 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
         task_pred_distribution_raw=[float(x) for x in dist_raw],
         buffer_class_counts=state.buffer.class_counts(),
         buffer_balance_mse=mse,
-        buffer_slot_audit=state.buffer.audit(),
         correction=None if state.correction is None else state.correction.summary,
         examples_seen=state.examples_seen,
         wall_clock_seconds=time.perf_counter() - t_start,

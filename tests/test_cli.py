@@ -2,6 +2,9 @@
 
 import gzip
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                             monte_carlo_omission, parse_config_text,
                             train_config_from_experiment)
 from replay_lab.datasets import to_idx_images, to_idx_labels
+from replay_lab.evaluation import RunReport
 from replay_lab.sampling import omission_probability
 from replay_lab.trainer import TRICK_TOKENS, TrainConfig
 
@@ -220,6 +224,31 @@ class TestCmdAblation:
         assert not out.exists()
 
 
+def test_run_and_ablation_write_the_v2_schema_without_the_slot_dump(tmp_path):
+    cfg = write_config(tmp_path)
+    run_out, ablation_out = tmp_path / "run", tmp_path / "ablation"
+    assert main(["run", "--config", cfg, "--out", str(run_out)]) == 0
+    assert main(["ablation", "--config", cfg, "--seeds", "0", "--out", str(ablation_out)]) == 0
+    report = json.loads((run_out / "report.json").read_text())
+    ablation = json.loads((ablation_out / "ablation.json").read_text())
+    for csv, schema, payload in (
+            (run_out / "runs.csv", "replay-lab-runs-v2", report),
+            (ablation_out / "ablation.csv", "replay-lab-ablation-v2", ablation)):
+        schema_line, _, _ = read_csv_rows(csv)
+        assert schema_line.startswith(f"# {schema} config_sha256=")
+        assert payload["schema"] == schema
+    runs = report["runs"] + [run for row in ablation["rows"] for run in row["runs"]]
+    assert len(runs) == 2 + 5
+    assert not any("buffer_slot_audit" in run for run in runs)
+
+
+def test_readme_lists_exactly_the_report_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Each run's report has these keys:", 1)[1].split("\n\n")[1]
+    listed = [line.split("`")[1] for line in table.splitlines()[2:]]
+    assert listed == [f.name for f in fields(RunReport)]
+
+
 class TestCmdBalanceToy:
     def test_ring_is_exactly_balanced(self, tmp_path):
         out = tmp_path / "out"
@@ -349,6 +378,20 @@ class TestExitCodes:
         assert f"cannot read config file {bad}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("encoding, code", [("utf-8", 0), ("latin-1", 2)])
+    def test_config_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path, encoding, code):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes((TINY_CONFIG + "seeds = 0\n# café\n").encode(encoding))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "replay_lab.cli", "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        if code:
+            assert f"cannot read config file {cfg}" in done.stderr
 
     def test_unknown_trick_is_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -804,10 +804,6 @@ class TestBufferPlumbing:
         np.testing.assert_array_equal(feats, [[0.1, 0.2], [0.3, 0.4]])
         np.testing.assert_array_equal(labels, [2, 5])
 
-    def test_audit_lists_slot_label_loss(self):
-        buf = fill_buffer(LOSS_AWARE_RESERVOIR, labels=[4, 2], losses=[0.5, 1.5], capacity=4)
-        assert buf.audit() == [(0, 4, 0.5), (1, 2, 1.5)]
-
     def test_class_counts_track_evictions(self):
         buf = fill_buffer(BALANCED_RESERVOIR, labels=[0, 0, 1], capacity=3, seed=5)
         rng = np.random.default_rng(5)

@@ -10,9 +10,14 @@ on OpenBLAS; another BLAS build may round matrix products differently.
 A second table hashes the same JSON with every float rounded to ten
 significant digits. A change that only reorders float summation moves the
 exact digests but not the rounded ones, so the pair tells "only rounding
-moved" apart from "a number moved". A third table keeps the exact digests
-from before a configuration key was removed, and checks that the report
-with the key put back still hashes to them.
+moved" apart from "a number moved". Two more tables keep the exact digests
+from before a report key and a configuration key were removed, and check
+that the report with the keys put back still hashes to them.
+
+A fourth table pins what no report holds, the run's final state: the bytes
+of the buffer's labels, stored losses and stored features, and of the
+model's parameters. The tests reach that state by wrapping
+``trainer.init_state``.
 
 One more case runs the image path end to end: 28x28 IDX files that the
 test writes, read by ``load_fashion_mnist``, split into tasks and trained
@@ -31,6 +36,7 @@ import struct
 import numpy as np
 import pytest
 
+from replay_lab import trainer
 from replay_lab.cli import balance_toy, load_experiment_config
 from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream
 from replay_lab.trainer import TrainConfig, run_class_il
@@ -55,6 +61,39 @@ IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_ma
 
 DIGESTS = {
     "reservoir":
+        "4ad71c9eafedf7def6981c8f02076978a6ebef95b3045399432488ac592b314a",
+    "brs-cbic":
+        "08a4546adeef2cd17c884e67114344256cb548aec2e7254ff33a916efcd6e436",
+    "sgd-cbic":
+        "f577b7509857f7c375a21803b305486ac3be481433b046ed40dae20eec57d760",
+    "lars-bic-elrd":
+        "b3ac7376339f1e6d3096cedcf311a0341537913b590f255ac2e1c01724ef1709",
+    "iba-stream-aug":
+        "09ff6326ae4d32298a907de356c0fddd578c954b756f652145fff777c7480ba1",
+    IDX_CASE:
+        "968e71934ec0c460b08f281d18202a23e686a5f3d7517de8038f6ea2736df443",
+}
+
+ROUNDED_DIGESTS = {
+    "reservoir":
+        "aa3f6ced1045042bac9193020e993cb5b3b8f7529d756834f97af00ac21f22a5",
+    "brs-cbic":
+        "e70a3e634cccd9a18a43974597e65ceffcb9578f09fd5c3209f2108ba0f17409",
+    "sgd-cbic":
+        "1b8382139bea10a16ef8f5aac6d7407778f726667c2eafda588c5b0381180e15",
+    "lars-bic-elrd":
+        "75690a172a6b70aef69ff96a0addd874dff37141814c6048e7f588c78d781a68",
+    "iba-stream-aug":
+        "b7fb937926e18bbcff3acc49305b36062fe4bf37fcf242aadc92e277d7e2508c",
+    IDX_CASE:
+        "9e361271a377feab6022b965e638ac5518e49c13841f50470c6a5bab449f8187",
+}
+
+# The exact digests from before ``buffer_slot_audit`` left the report. A
+# report with the dump rebuilt from the final buffer, one [slot, label, loss]
+# triple per filled slot, must hash to them: dropping the key moved no number.
+DIGESTS_WITH_SLOT_AUDIT = {
+    "reservoir":
         "28555db2719b137543cb0d30274ef0b973378d19fa810688329851092df481ff",
     "brs-cbic":
         "90fea93abfc2a047b57af53394573fe7c9ffb9e0206bf2d85e076617841e701d",
@@ -68,24 +107,9 @@ DIGESTS = {
         "d1933ed2a1a9c1e8b9252aad733845d7a107a2159ee90d92306f2b2f11c6b20b",
 }
 
-ROUNDED_DIGESTS = {
-    "reservoir":
-        "d1c792dc9aefb898175e56d6d9bd6471cf6bbae24fa795cf5709e2d95b470712",
-    "brs-cbic":
-        "7c715fcd14be4f6ad04b7e1c82ef13b65bcab5dd740b9bf79f2c22f79a7fe60b",
-    "sgd-cbic":
-        "9f1d768e6a690a432947414025a2324eec11f4dd4c916832321c806a04f18306",
-    "lars-bic-elrd":
-        "582e92e7cc7b1b5d18338bd5a4c0453db37ee12dcbdad97ace5a373e3796cda1",
-    "iba-stream-aug":
-        "09f99392b377b392811480695ad6890c8e975bf4691dc0ed56ffe3cf8d42e80b",
-    IDX_CASE:
-        "f8fa3dcbb2352170e1b91189fe39bad88e2c7d18bcc369b5a2af1d430145ed92",
-}
-
 # The exact digests from before ``decay_fraction`` left the configuration,
-# when its one value was 1/6. A report with that key put back must hash to
-# them: dropping the key moved no number.
+# when its one value was 1/6 (and while the report still held the dump). A
+# report with both keys put back must hash to them.
 DIGESTS_WITH_DECAY_FRACTION = {
     "reservoir":
         "03764ee558702cf3d072aeb73af26ea4d4f4a0640aed3f83c1c49ebc18e096f7",
@@ -101,6 +125,23 @@ DIGESTS_WITH_DECAY_FRACTION = {
         "ed80403dfed1ff5741f1a8aaa1b3f2509a538249e7a11d967fbfc1033cf3fced",
 }
 
+# sha256 of the final buffer.labels, buffer.loss, buffer.features and
+# model.params bytes, in that order.
+STATE_DIGESTS = {
+    "reservoir":
+        "27963cc5e8765f1e6b67927585e2c0b098b3538b421ac9236314e63f1b3ee802",
+    "brs-cbic":
+        "28f7537ad6ce884f7a7b356e798e74b9d95c2e48ebece17401591b9f6cc0794f",
+    "sgd-cbic":
+        "47c8f86948e756833c5e5b588968e99cf7cfe48a639309cb538d0f47e8143f2e",
+    "lars-bic-elrd":
+        "a0eb523670a059809d1ff30e3db4c82d2e81000b595530735291f47b67243604",
+    "iba-stream-aug":
+        "0029196207caa2303056df8a62e1fd711d41e0ba7f6cf2b7f7bb331b9580b45f",
+    IDX_CASE:
+        "f3ec0d7cfc658f2b90595f83612400157cb63297af8646f6a6c35fcf87a19bfa",
+}
+
 
 def rounded(value):
     """``value`` with every float rounded to ten significant digits."""
@@ -111,6 +152,13 @@ def rounded(value):
     if isinstance(value, list):
         return [rounded(v) for v in value]
     return value
+
+
+def with_slot_audit(buffer):
+    n = buffer.n_filled
+    audit = [[i, label, loss] for i, (label, loss)
+             in enumerate(zip(buffer.labels[:n].tolist(), buffer.loss[:n].tolist()))]
+    return lambda payload: dict(payload, buffer_slot_audit=audit)
 
 
 def with_decay_fraction(payload):
@@ -124,15 +172,45 @@ def report_digest(report, transform=lambda payload: payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_seeded_report_digest_is_pinned(case):
-    stream = synthetic_class_il_stream(**STREAM)
-    report = run_class_il(stream, TrainConfig(**BASE, **CASES[case]))
+def state_digest(state) -> str:
+    h = hashlib.sha256()
+    for array in (state.buffer.labels, state.buffer.loss, state.buffer.features,
+                  state.model.params):
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def run_and_capture(monkeypatch, stream, config):
+    """The run's report and its final ``TrainState``."""
+    init_state, states = trainer.init_state, []
+
+    def capturing_init_state(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(trainer, "init_state", capturing_init_state)
+    report = run_class_il(stream, config)
+    (state,) = states
+    return report, state
+
+
+def check_pins(case, report, state):
     exact, rounded_digest = report_digest(report), report_digest(report, rounded)
     assert exact == DIGESTS[case], f"exact digest of {case!r} is {exact}"
     assert rounded_digest == ROUNDED_DIGESTS[case], \
         f"rounded digest of {case!r} is {rounded_digest}"
-    assert report_digest(report, with_decay_fraction) == DIGESTS_WITH_DECAY_FRACTION[case]
+    audit = with_slot_audit(state.buffer)
+    assert report_digest(report, audit) == DIGESTS_WITH_SLOT_AUDIT[case]
+    assert report_digest(report, lambda payload: with_decay_fraction(audit(payload))) \
+        == DIGESTS_WITH_DECAY_FRACTION[case]
+    got = state_digest(state)
+    assert got == STATE_DIGESTS[case], f"state digest of {case!r} is {got}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_seeded_report_digest_is_pinned(case, monkeypatch):
+    stream = synthetic_class_il_stream(**STREAM)
+    check_pins(case, *run_and_capture(monkeypatch, stream, TrainConfig(**BASE, **CASES[case])))
 
 
 def write_idx_images(path, labels, rng):
@@ -149,7 +227,7 @@ def write_idx_labels(path, labels):
                      + labels.astype(np.uint8).tobytes())
 
 
-def test_idx_image_report_digest_is_pinned(tmp_path):
+def test_idx_image_report_digest_is_pinned(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     for prefix, n in (("train", 80), ("t10k", 30)):
         labels = np.tile(np.arange(10), n // 10)
@@ -157,12 +235,8 @@ def test_idx_image_report_digest_is_pinned(tmp_path):
         write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte", labels)
     train, test = load_fashion_mnist(tmp_path)
     stream = make_class_il_tasks(train, test, 2, np.random.default_rng(11))
-    report = run_class_il(stream, TrainConfig(**BASE, **IDX_CONFIG))
-    exact, rounded_digest = report_digest(report), report_digest(report, rounded)
-    assert exact == DIGESTS[IDX_CASE], f"exact digest of {IDX_CASE!r} is {exact}"
-    assert rounded_digest == ROUNDED_DIGESTS[IDX_CASE], \
-        f"rounded digest of {IDX_CASE!r} is {rounded_digest}"
-    assert report_digest(report, with_decay_fraction) == DIGESTS_WITH_DECAY_FRACTION[IDX_CASE]
+    check_pins(IDX_CASE, *run_and_capture(monkeypatch, stream,
+                                          TrainConfig(**BASE, **IDX_CONFIG)))
 
 
 def test_balance_toy_counts_are_pinned():

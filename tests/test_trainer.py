@@ -301,7 +301,7 @@ class TestBaselines:
             assert abs(sum(report.task_pred_distribution) - 1.0) <= 1e-9
             assert abs(sum(report.task_pred_distribution_raw) - 1.0) <= 1e-9
             assert all(0.0 <= a <= 1.0 for a in report.per_task_accuracy)
-            assert len(report.buffer_slot_audit) == config.buffer_capacity
+            assert sum(report.buffer_class_counts.values()) == config.buffer_capacity
 
 
 class TestDataFlowIsolation:
