@@ -10,8 +10,7 @@ from .datasets import (Dataset, IdxFormatError, Task, TaskStream,
                        synthetic_class_il_stream, to_idx_images, to_idx_labels)
 from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          kl_to_uniform, task_prediction_distribution)
-from .mlp import (Mlp, finite_difference_grads, gradient_check, softmax,
-                  softmax_cross_entropy)
+from .mlp import Mlp, gradient_check, softmax, softmax_cross_entropy
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
                        RING, STRATEGIES, ReplayBuffer, ScoreVectors,
                        lars_scores, omission_probability)

@@ -137,9 +137,11 @@ def fit_cbic(model: Mlp, buffer: ReplayBuffer, task_partition: dict[int, int]) -
     The first task's shift stays pinned at zero, so its logits are left
     alone like those of classes outside the partition (not yet encountered
     mid-stream). With no task after the first there is nothing to fit, and
-    the buffer is not read. A class id the model has no logit for, or a
-    negative task id, is rejected.
+    the buffer is not read. An empty partition, a class id the model has no
+    logit for, or a negative task id, is rejected.
     """
+    if not task_partition:
+        raise ValueError("task_partition must be non-empty")
     k = model.layer_dims[-1]
     first = min(task_partition.values())
     if first < 0:

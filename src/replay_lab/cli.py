@@ -33,7 +33,7 @@ import numpy as np
 
 from .datasets import (FASHION_MNIST_CLASSES, FASHION_MNIST_IMAGE_DIMS, IdxFormatError,
                        load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream)
-from .mlp import Mlp, gradient_check
+from .mlp import FD_STEP, Mlp, gradient_check
 from .sampling import STRATEGIES, ReplayBuffer, omission_probability
 from .trainer import (TRICK_TOKENS, TrainConfig, ablation_configs, ablation_suite,
                       aug_policy, run_class_il, run_joint_baseline)
@@ -71,11 +71,12 @@ def _parse_tricks(text: str) -> tuple[str, ...]:
     text = text.strip().lower()
     if not text or text == "none":
         return ()
-    tokens = tuple(tok.strip() for tok in text.split(","))
+    tokens = [tok.strip() for tok in text.split(",")]
     bad = [t for t in tokens if t not in TRICK_TOKENS]
     if bad:
         raise ValueError(f"unknown tricks {bad}; valid: {list(TRICK_TOKENS)}")
-    return tokens
+    # one configuration, one hash: the order and repeats as typed do not count
+    return tuple(t for t in TRICK_TOKENS if t in tokens)
 
 
 def _config_key(field_name: str) -> str:
@@ -451,33 +452,43 @@ class _BrokenReluBackwardMlp(Mlp):
         super().backward(dict(cache, pres=[-p for p in cache["pres"]]), dlogits)
 
 
-def _corrupted_gradient_check(seed: int) -> bool:
-    """True when the checker correctly fails the broken backward."""
+def gradcheck(seed: int, trials: int) -> tuple[list[tuple[list[int], bool, float]], bool]:
+    """Gradient-check ``trials`` random nets and one ``[6, 8, 5]`` net whose
+    backward inverts the ReLU mask (drawn from ``SeedSequence([seed, 0xBAD])``).
+
+    Net i, from ``SeedSequence([seed, i])``, has 2-4 layers of width 2-8,
+    biases in [0.05, 0.2] and 4 input rows. It is drawn again while a hidden
+    pre-activation lies within ``10 * FD_STEP`` of zero: at the ReLU kink the
+    subgradient and a central difference legitimately disagree. Returns
+    (dims, pass, worst residual ratio) per net, and whether the inverted mask
+    was rejected.
+    """
+    nets = []
+    for i in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        while True:
+            dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))]
+            model = Mlp(dims, rng)
+            for b in model.biases:
+                b[:] = rng.uniform(0.05, 0.2, size=b.shape)
+            x = rng.uniform(size=(4, dims[0]))
+            y = rng.integers(0, dims[-1], size=4)
+            if all(np.abs(pre).min() >= 10 * FD_STEP for pre in model.forward(x)[1]["pres"]):
+                break
+        nets.append((dims, *gradient_check(model, x, y)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBAD]))
-    model = _BrokenReluBackwardMlp([6, 8, 5], rng)
+    broken = _BrokenReluBackwardMlp([6, 8, 5], rng)
     x = rng.uniform(0, 1, size=(4, 6))
     y = rng.integers(0, 5, size=4)
-    return not gradient_check(model, x, y)[0]
+    return nets, not gradient_check(broken, x, y)[0]
 
 
 def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    all_ok = True
-    for trial in range(args.trials):
-        dims = [int(rng.integers(3, 9)) for _ in range(int(rng.integers(2, 5)))]
-        model = Mlp(dims, rng)
-        # keep pre-activations off the ReLU kink, where the subgradient and
-        # a finite difference legitimately disagree
-        for b in model.biases:
-            b[:] = rng.uniform(0.05, 0.2, size=b.shape)
-        x = rng.uniform(0, 1, size=(4, dims[0]))
-        y = rng.integers(0, dims[-1], size=4)
-        ok, worst = gradient_check(model, x, y)
-        all_ok &= ok
+    nets, rejected = gradcheck(args.seed, args.trials)
+    for dims, ok, worst in nets:
         print(f"net {dims}: {'pass' if ok else 'FAIL'} (worst residual ratio {worst:.3g})")
-    corrupted_detected = _corrupted_gradient_check(args.seed)
-    print(f"corrupted backward rejected: {'yes' if corrupted_detected else 'NO'}")
-    if all_ok and corrupted_detected:
+    print(f"corrupted backward rejected: {'yes' if rejected else 'NO'}")
+    if all(ok for _, ok, _ in nets) and rejected:
         print("gradcheck: PASS")
         return EXIT_OK
     print("gradcheck: FAIL")
@@ -525,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--buffer", default=None, help="buffer capacity override")
         p.add_argument("--tricks", default=None,
-                       help="comma list of {iba,bic,cbic,elrd,brs,lars} or 'none'")
+                       help=f"comma list of {{{','.join(TRICK_TOKENS)}}} or 'none'")
         p.add_argument("--dataset", choices=["fashion-mnist", "synthetic"], default=None)
 
     p_run = sub.add_parser("run", help="train over the configured seed list")

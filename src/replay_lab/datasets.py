@@ -49,7 +49,11 @@ class Dataset:
         self.features = np.asarray(self.features)
         if self.features.dtype != np.uint8:
             self.features = self.features.astype(float, copy=False)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # a NaN is not a whole number either
+        if labels.dtype.kind not in "iu" and not np.all(np.mod(labels, 1) == 0):
+            raise ValueError(f"labels must be whole numbers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise ValueError("features must be a (n, d) matrix")
         if self.labels.shape != (self.features.shape[0],):

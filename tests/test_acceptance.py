@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from replay_lab.augmentation import AugPolicy, replay_with_iba
-from replay_lab.cli import _BrokenReluBackwardMlp, balance_toy, main, monte_carlo_omission
+from replay_lab.cli import balance_toy, gradcheck, main, monte_carlo_omission
 from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.evaluation import kl_to_uniform
-from replay_lab.mlp import (FD_STEP, GRADCHECK_ABS_FLOOR, GRADCHECK_REL_TOL, Mlp,
-                            gradient_check)
+from replay_lab.mlp import FD_STEP, GRADCHECK_ABS_FLOOR, GRADCHECK_REL_TOL
 from replay_lab.sampling import ReplayBuffer, lars_scores
 from replay_lab.trainer import (TrainConfig, _train_one_task, init_state,
                                 run_class_il, run_joint_baseline,
@@ -116,27 +115,11 @@ def test_criterion_03_reservoir_guarantee_and_shared_admission_rule():
 
 def test_criterion_04_gradient_correctness_and_mutation_detection():
     assert (GRADCHECK_REL_TOL, GRADCHECK_ABS_FLOOR, FD_STEP) == (1e-4, 1e-7, 1e-4)
-    worst_overall = 0.0
-    for seed in range(20):
-        rng = np.random.default_rng(np.random.SeedSequence([2024, seed]))
-        dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))]
-        model = Mlp(dims, rng)
-        # keep pre-activations in general position, off the ReLU kink
-        for b in model.biases:
-            b[:] = rng.uniform(0.05, 0.2, size=b.shape)
-        x = rng.uniform(size=(4, dims[0]))
-        y = rng.integers(0, dims[-1], size=4)
-        ok, worst = gradient_check(model, x, y)
-        worst_overall = max(worst_overall, worst)
-        assert ok, f"seed {seed} dims {dims} worst residual {worst}"
-
-    rng = np.random.default_rng(7)
-    broken = _BrokenReluBackwardMlp([5, 6, 4], rng)
-    for b in broken.biases:
-        b[:] = rng.uniform(0.05, 0.2, size=b.shape)
-    x = rng.uniform(size=(4, 5))
-    y = rng.integers(0, 4, size=4)
-    assert not gradient_check(broken, x, y)[0], "corrupted backward slipped through the check"
+    nets, rejected = gradcheck(2024, 20)
+    for i, (dims, ok, worst) in enumerate(nets):
+        assert ok, f"net {i} dims {dims} worst residual {worst}"
+    assert rejected, "corrupted backward slipped through the check"
+    worst_overall = max(worst for _, _, worst in nets)
     print(f"criterion 4 PASS: 20 nets within {GRADCHECK_REL_TOL:g} rel / "
           f"{GRADCHECK_ABS_FLOOR:g} floor at step {FD_STEP:g} "
           f"(worst residual ratio {worst_overall:.2e}); corrupted backward rejected")

@@ -221,6 +221,14 @@ class TestFitCbic:
         with pytest.raises(ValueError, match="class id -1 out of range for 4 logits"):
             fit_cbic(model, buf, {0: 0, 1: 0, 2: 0, 3: 0, -1: 1})
 
+    def test_empty_partition_rejected(self, monkeypatch):
+        model = linear_model(np.eye(4))
+        buf = buffer_of(np.eye(4), labels=[0, 1, 2, 3])
+        forwards = count_forwards(monkeypatch)
+        with pytest.raises(ValueError, match="task_partition must be non-empty"):
+            fit_cbic(model, buf, {})
+        assert forwards == []
+
     def test_negative_task_rejected(self):
         # task -1 would give class 2 the last task's offset, betas[-1]
         model = linear_model(np.eye(4))

@@ -72,6 +72,16 @@ class TestParseIdxLabels:
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 4)), np.array([11]), class_count=10)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 1.2], [0.0, np.nan, 1.0]])
+    def test_fractional_labels_rejected_at_dataset(self, labels):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset(np.zeros((3, 2)), labels, class_count=2)
+
+    def test_whole_float_labels_become_int64(self):
+        labels = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], class_count=2).labels
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [0, 1, 1])
+
 
 class TestDatasetFeatures:
     def test_uint8_features_are_kept_as_they_are(self):

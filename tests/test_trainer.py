@@ -86,7 +86,7 @@ class TestErTrainStep:
         task = stream.tasks[0]
         x, y = task.train_features[:5], task.train_labels[:5]
 
-        reference = state.model.copy()
+        reference = copy.deepcopy(state.model)
         logits, cache = reference.forward(x)
         _, _, dlogits = softmax_cross_entropy(logits, y)
         reference.backward(cache, dlogits)
@@ -161,7 +161,7 @@ class TestErTrainStep:
         state = init_state(stream, config)
         task = stream.tasks[0]
         x, y = task.train_features[:5], task.train_labels[:5]
-        before = state.model.copy()
+        before = copy.deepcopy(state.model)
         info = er_train_step(state, x, y, config)
         expected, _, _ = softmax_cross_entropy(before.forward(x)[0], y)
         assert info.stream_loss == pytest.approx(expected, abs=1e-12)
