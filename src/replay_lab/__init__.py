@@ -12,8 +12,8 @@ from .evaluation import (RunReport, average_final_accuracy, buffer_balance_mse,
                          kl_to_uniform, task_prediction_distribution)
 from .mlp import Mlp, gradient_check, softmax, softmax_cross_entropy
 from .sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RESERVOIR,
-                       RING, STRATEGIES, ReplayBuffer, ScoreVectors,
-                       lars_scores, omission_probability)
+                       STRATEGIES, ReplayBuffer, ScoreVectors, lars_scores,
+                       omission_probability)
 from .trainer import (AblationRow, RngStreams, StepInfo, TrainConfig,
                       TrainState, ablation_configs, ablation_suite, er_train_step,
                       init_state, merge_tasks, method_label, run_class_il,

@@ -154,8 +154,9 @@ def _parse_value(key: str, text: str, where: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse a flat key = value document, validating keys and values."""
-    values = {}
+    """Parse a flat key = value document, validating keys and values. Each
+    key may be set only once."""
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,6 +167,9 @@ def parse_config_text(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _parse_value(key, val, f"line {lineno}")
     return values
 
@@ -355,12 +359,15 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
     """Stream a small balanced label stream (shaped by the ``TOY_*``
     constants) into one buffer per strategy and record the final counts.
 
-    Returns, per strategy, a (repetitions, TOY_CLASS_COUNT) matrix of counts.
-    The stream order is shuffled fresh each repetition, and all strategies
-    within a repetition see the same order, so their statistics are paired.
+    Returns, per strategy, a (repetitions, TOY_CLASS_COUNT) matrix of counts,
+    and last a ``"ring"`` matrix: the exact final counts of a class-wise FIFO,
+    ``min(n_c, TOY_CAPACITY // TOY_CLASS_COUNT)`` for the ``n_c`` items of
+    class c, read from the stream. The stream order is shuffled fresh each
+    repetition, and all strategies within a repetition see the same order,
+    so their statistics are paired.
     """
     labels = np.repeat(np.arange(TOY_CLASS_COUNT), TOY_PER_CLASS)
-    counts = {s: np.zeros((repetitions, TOY_CLASS_COUNT)) for s in TOY_STRATEGIES}
+    counts = {s: np.zeros((repetitions, TOY_CLASS_COUNT)) for s in (*TOY_STRATEGIES, "ring")}
     no_features = np.empty((labels.size, 0))
     zero_losses = np.zeros(labels.size)
     for rep in range(repetitions):
@@ -373,6 +380,8 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
             buf.update(no_features, stream, zero_losses, rng)
             counts[strategy][rep] = np.bincount(buf.labels[:buf.n_filled],
                                                 minlength=TOY_CLASS_COUNT)
+        counts["ring"][rep] = np.minimum(np.bincount(stream, minlength=TOY_CLASS_COUNT),
+                                         TOY_CAPACITY // TOY_CLASS_COUNT)
     return counts
 
 

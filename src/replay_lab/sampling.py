@@ -3,7 +3,7 @@
 The buffer is offered a data stream in batches: ``ReplayBuffer.update``
 takes a batch of items in stream order and returns each item's slot, or -1
 for an item it did not admit. A batch ends in the same state, random
-generator included, as the same items offered one at a time. Four update
+generator included, as the same items offered one at a time. Three update
 strategies are supported:
 
 * ``reservoir``      -- classic reservoir sampling: every stream item ends up
@@ -13,17 +13,15 @@ strategies are supported:
 * ``lars``           -- loss-aware balanced reservoir sampling: eviction
   probabilities combine per-item class counts with negated stored training
   losses, so well-fit items from crowded classes go first.
-* ``ring``           -- class-wise FIFO: each class keeps its newest
-  capacity // classes items (kept for the balance study).
 
 Stored items are copies of the offered raw rows, kept in preallocated
 arrays. All randomness flows through an injected ``numpy.random.Generator``:
-the reservoir strategies draw one uniform per item offered past the fill, in
-one call per batch; it decides admission and, for ``brs`` and ``lars``, the
-victim, so all three admit the same items. ``brs`` and ``lars`` take a
-batch's victims from the buffer's class counts, counted once per batch and
-then kept up to date by hand after each eviction. A buffer is owned by a
-single training run and mutated sequentially.
+every strategy draws one uniform per item offered past the fill, in one call
+per batch; it decides admission and, for ``brs`` and ``lars``, the victim, so
+all three admit the same items. ``brs`` and ``lars`` take a batch's victims
+from the buffer's class counts, counted once per batch and then kept up to
+date by hand after each eviction. A buffer is owned by a single training run
+and mutated sequentially.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ import numpy as np
 RESERVOIR = "reservoir"
 BALANCED_RESERVOIR = "brs"
 LOSS_AWARE_RESERVOIR = "lars"
-RING = "ring"
-
-STRATEGIES = (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR, RING)
+STRATEGIES = (RESERVOIR, BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR)
 
 
 @dataclass
@@ -66,9 +62,11 @@ class ReplayBuffer:
       item (used only by the loss-aware strategy; refreshed whenever the
       item is drawn for replay).
 
-    Every stored label lies in ``[0, class_count)``. For every strategy the
-    filled slots are ``0..n_filled-1``; the slots after them hold label
-    ``-1``. ``seen_count`` tracks how many stream items have been offered.
+    Every stored label lies in ``[0, class_count)``. ``seen_count`` tracks
+    how many stream items have been offered, and every strategy fills the
+    slots in offer order, so the filled slots are ``0..n_filled-1`` with
+    ``n_filled = min(seen_count, capacity)``; the slots after them hold
+    label ``-1``.
 
     Capacity 0 is the degenerate no-rehearsal buffer: updates only advance
     ``seen_count``.
@@ -89,12 +87,13 @@ class ReplayBuffer:
         self.features: np.ndarray | None = None
         self.labels = np.full(capacity, -1, dtype=np.int64)
         self.loss = np.zeros(capacity)
-        self.n_filled = 0
-        # ring: the slot of each class's k-th item, k < capacity // class_count
-        self._ring_table = np.zeros((class_count, capacity // class_count), dtype=np.int64)
-        self._ring_next = np.zeros(class_count, dtype=np.int64)
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def n_filled(self) -> int:
+        """Number of filled slots, ``min(seen_count, capacity)``."""
+        return min(self.seen_count, self.capacity)
 
     @property
     def is_full(self) -> bool:
@@ -120,10 +119,10 @@ class ReplayBuffer:
         ``features`` holds one row per item; ``labels`` and ``losses`` one
         value each. Returns each item's slot, or -1 for an item that was not
         admitted; an admitted row is copied into its slot. When two items of
-        a batch take the same slot, the later one is what stays. The
-        reservoir strategies make one ``rng.random`` call for the items past
-        the fill, and ``ring`` draws nothing; the outcome, generator state
-        included, is that of offering the items one at a time.
+        a batch take the same slot, the later one is what stays. One
+        ``rng.random`` call draws for the items past the fill; the outcome,
+        generator state included, is that of offering the items one at a
+        time.
         ``seen_count`` grows by the batch size.
 
         The whole batch is validated before anything is written: labels
@@ -162,10 +161,7 @@ class ReplayBuffer:
 
         slots = np.full(n, -1, dtype=np.int64)
         if self.capacity > 0 and n:
-            if self.strategy == RING:
-                self._ring_slots(labels, slots)
-            else:
-                self._reservoir_slots(labels, losses, slots, rng)
+            self._reservoir_slots(labels, losses, slots, rng)
             admitted = (slots >= 0).nonzero()[0]
             if admitted.size:
                 if self.features is None:
@@ -185,7 +181,6 @@ class ReplayBuffer:
         seen, n, capacity = self.seen_count, labels.size, self.capacity
         fill = min(max(capacity - seen, 0), n)
         slots[:fill] = np.arange(seen, seen + fill)
-        self.n_filled += fill
         if fill == n:
             return
         # Item i of the batch is offer number seen + i + 1: w is uniform on
@@ -231,24 +226,6 @@ class ReplayBuffer:
             return int(eligible[int(u * eligible.size)])
         cdf = _lars_probs(per_slot, self.loss, sumsq)[2].cumsum()
         return int((cdf / cdf[-1]).searchsorted(u, side="right"))
-
-    def _ring_slots(self, labels, slots) -> None:
-        segment = self._ring_table.shape[1]
-        if segment == 0:
-            return
-        # k: each item's position among all items of its class offered so far
-        counts = np.bincount(labels, minlength=self.class_count)
-        order = np.argsort(labels, kind="stable")
-        k = np.empty_like(labels)
-        k[order] = np.arange(labels.size) - (np.cumsum(counts) - counts)[labels[order]]
-        k += self._ring_next[labels]
-        # a class's first `segment` items take the next free slots in stream
-        # order; each later item takes the slot of the item `segment` before it
-        first = (k < segment).nonzero()[0]
-        self._ring_table[labels[first], k[first]] = self.n_filled + np.arange(first.size)
-        self.n_filled += first.size
-        slots[:] = self._ring_table[labels, k % segment]
-        self._ring_next += counts
 
     # -- replay -------------------------------------------------------------
 

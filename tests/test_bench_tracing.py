@@ -29,7 +29,7 @@ def test_tracer_installs_on_every_traced_name_and_counts_an_offer(monkeypatch):
 
 def test_balance_toy_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
     # one round of the benchmark's balance-toy workload, checked as the
-    # benchmark checks it: a change to `ring` or `balance_toy` that the
+    # benchmark checks it: a change to `balance_toy` or its `ring` row that the
     # benchmark would refuse fails here too
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads

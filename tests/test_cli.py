@@ -40,6 +40,15 @@ synthetic.separation = 4.0
 """
 
 
+def tiny_config(extra):
+    """TINY_CONFIG with the ``key = value`` lines of ``extra`` in place of
+    its own lines for those keys: a config file sets each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in TINY_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 def write_config(tmp_path, text=TINY_CONFIG, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -80,6 +89,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some text")
 
+    def test_key_set_twice_rejected_naming_both_lines(self, tmp_path, capsys):
+        # the file's second value used to win silently
+        text = "tricks = bic\nseeds = 0\ntricks = lars\n"
+        with pytest.raises(ConfigError, match="^line 3: tricks is already set on line 1$"):
+            parse_config_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "config error: line 3: tricks is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overrides_beat_file_beats_defaults(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_experiment_config(path, {"buffer_capacity": 99})
@@ -88,7 +107,7 @@ class TestConfigParsing:
         assert cfg["epochs_per_task"] == 1           # default
 
     def test_exclusive_tricks_rejected(self, tmp_path):
-        path = write_config(tmp_path, TINY_CONFIG + "tricks = brs,lars\n")
+        path = write_config(tmp_path, tiny_config("tricks = brs,lars\n"))
         with pytest.raises(ConfigError):
             load_experiment_config(path, {})
 
@@ -192,7 +211,7 @@ class TestCmdRun:
         assert len(chash) == 64 and chash in schema_line
 
     def test_joint_method(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_CONFIG + "method = joint\n")
+        cfg = write_config(tmp_path, tiny_config("method = joint\n"))
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--seeds", "0", "--out", str(out)]) == 0
         _, header, rows = read_csv_rows(out / "runs.csv")
@@ -238,7 +257,7 @@ class TestCmdAblation:
         def no_data(cfg):
             pytest.fail("data was read before the config was checked")
         monkeypatch.setattr(cli, "build_task_stream", no_data)
-        cfg = write_config(tmp_path, TINY_CONFIG + "base_strategy = ring\n")
+        cfg = write_config(tmp_path, tiny_config("base_strategy = ring\n"))
         out = tmp_path / "out"
         assert main(["ablation", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -360,7 +379,7 @@ class TestFashionMnistPath:
         data_dir.mkdir()
         self.write_idx_dataset(data_dir)
         monkeypatch.setenv("REPLAYLAB_DATA", str(data_dir))
-        cfg = write_config(tmp_path, TINY_CONFIG + "hidden_dims = 16\n" + extra_config)
+        cfg = write_config(tmp_path, tiny_config("hidden_dims = 16\n" + extra_config))
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
                      "--seeds", "0", "--tricks", tricks, "--out", str(out)]) == 0
@@ -412,7 +431,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("encoding, code", [("utf-8", 0), ("latin-1", 2)])
     def test_config_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path, encoding, code):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_bytes((TINY_CONFIG + "seeds = 0\n# café\n").encode(encoding))
+        cfg.write_bytes(tiny_config("seeds = 0\n# café\n").encode(encoding))
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -550,7 +569,7 @@ class TestExitCodes:
         def no_data(cfg):
             pytest.fail("data was read before the config was checked")
         monkeypatch.setattr(cli, "build_task_stream", no_data)
-        cfg = write_config(tmp_path, TINY_CONFIG + setting + "\n")
+        cfg = write_config(tmp_path, tiny_config(setting + "\n"))
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "runs.csv").exists()
@@ -562,20 +581,20 @@ class TestExitCodes:
         # which the generator would turn into NaN features
         monkeypatch.setattr(cli, "build_task_stream",
                             lambda cfg: pytest.fail("data was read before the check"))
-        cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.feature_dim = 1\n"
-                           f"synthetic.separation = {separation}\n")
+        cfg = write_config(tmp_path, tiny_config("synthetic.feature_dim = 1\n"
+                                                 f"synthetic.separation = {separation}\n"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: synthetic.separation" in capsys.readouterr().err
 
     def test_separation_with_a_finite_largest_mean_is_accepted(self, tmp_path):
         # 4 classes on 8 axes: the largest class mean is separation itself
-        cfg = write_config(tmp_path, TINY_CONFIG + "synthetic.separation = 1e308\n")
+        cfg = write_config(tmp_path, tiny_config("synthetic.separation = 1e308\n"))
         assert load_experiment_config(cfg, {})["synthetic.separation"] == 1e308
 
     def test_bad_run_setting_is_2_even_without_data(self, tmp_path, monkeypatch):
         # the config error wins over the missing Fashion-MNIST data
         monkeypatch.delenv("REPLAYLAB_DATA", raising=False)
-        cfg = write_config(tmp_path, TINY_CONFIG + "lr0 = -1\n")
+        cfg = write_config(tmp_path, tiny_config("lr0 = -1\n"))
         assert main(["run", "--config", cfg, "--dataset", "fashion-mnist",
                      "--out", str(tmp_path / "o")]) == 2
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from replay_lab.sampling import (BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR,
-                                 RESERVOIR, RING, STRATEGIES, ReplayBuffer,
+                                 RESERVOIR, STRATEGIES, ReplayBuffer,
                                  ScoreVectors, lars_scores, omission_probability)
 
 NO_FEATURES = np.empty(0)
@@ -21,14 +21,14 @@ def offer(buf, label, rng, loss=0.0, features=NO_FEATURES):
 
 def assert_buffer_invariants(buf):
     """What every strategy keeps true after any sequence of offers: the
-    filled slots are a prefix, 0..n_filled-1, and the rest stay empty."""
+    filled slots are the first min(seen_count, capacity), and the rest stay
+    empty."""
     assert isinstance(buf.n_filled, int)
     assert 0 <= buf.n_filled <= buf.capacity
     filled = buf.labels[:buf.n_filled]
     assert np.all((filled >= 0) & (filled < buf.class_count))
     assert np.all(buf.labels[buf.n_filled:] == -1)
-    if buf.strategy != RING:
-        assert buf.n_filled == min(buf.seen_count, buf.capacity)
+    assert buf.n_filled == min(buf.seen_count, buf.capacity)
 
 
 def fill_buffer(strategy, labels, losses=None, capacity=None, seed=0, class_count=CLASS_COUNT):
@@ -64,7 +64,7 @@ class TestFillPhase:
         assert buf.seen_count == 40
         assert buf.n_filled == 5
 
-    @pytest.mark.parametrize("strategy", [RESERVOIR, RING])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_negative_label_rejected(self, strategy):
         # -1 marks an empty slot, so no stored label may be negative
         buf = ReplayBuffer(4, strategy, class_count=2)
@@ -140,19 +140,13 @@ def offer_by_reference(strategy, capacity, class_count, stream, seed=0):
     buf = ReplayBuffer(capacity, strategy, class_count=class_count)
     buf.features = np.empty((capacity, 3))
     rng = np.random.default_rng(seed)
-    # ring: each class's item slots in arrival order; a class's first
-    # `segment` items take the next free slots, later ones reuse them
-    segment, ring = capacity // class_count, [[] for _ in range(class_count)]
     slots = np.full(n, -1)
     for seen in range(n):
+        buf.seen_count = seen
         y = labels[seen]
-        if capacity == 0 or (strategy == RING and segment == 0):
+        if capacity == 0:
             continue
-        if strategy == RING:
-            k = len(ring[y])
-            slots[seen] = buf.n_filled if k < segment else ring[y][k - segment]
-            ring[y].append(slots[seen])
-        elif seen < capacity:
+        if seen < capacity:
             slots[seen] = seen
         elif (w := rng.random() * (seen + 1)) < capacity:
             u = w / capacity
@@ -170,7 +164,6 @@ def offer_by_reference(strategy, capacity, class_count, stream, seed=0):
             slot = slots[seen]
             buf.features[slot], buf.labels[slot], buf.loss[slot] = \
                 features[seen], y, losses[seen]
-            buf.n_filled = max(buf.n_filled, int(slot) + 1)
     buf.seen_count = n
     return buf, rng, slots
 
@@ -185,7 +178,7 @@ class TestBatchedUpdate:
         (8, 3, [5, 7, 1, 30, 17]),   # the second batch straddles the end of the fill
         (3, 4, [40, 25]),            # most items of a batch are not admitted
         (0, 3, [4, 9]),              # no-rehearsal buffer
-        (2, 5, [6, 10]),             # ring: fewer slots than classes, no segment
+        (2, 5, [6, 10]),             # fewer slots than classes
         (6, 2, [1, 1, 1, 1, 1, 1, 1, 1]),   # batches of one
     ])
     def test_batches_match_one_item_at_a_time(self, strategy, capacity, class_count, sizes):
@@ -212,12 +205,11 @@ class TestBatchedUpdate:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_one_generator_call_per_update(self, strategy):
-        # a reservoir strategy makes one `random` call per batch that runs
-        # past the fill, and its victims draw nothing; ring draws nothing
+        # one `random` call per batch that runs past the fill; the victims
+        # draw nothing
         buf = ReplayBuffer(9, strategy, class_count=3)
         rng = CountingGenerator(0)
         features, labels, losses = seeded_stream(80, 3)
-        expected = [] if strategy == RING else ["random"]
         buf.update(features[:5], labels[:5], losses[:5], rng)
         assert rng.calls == []
         for a, b in ((5, 40), (40, 80)):
@@ -225,7 +217,7 @@ class TestBatchedUpdate:
             slots = buf.update(features[a:b], labels[a:b], losses[a:b], rng)
             past_fill = slots[max(buf.capacity - a, 0):]
             assert np.count_nonzero(past_fill >= 0) >= 2
-            assert rng.calls == expected
+            assert rng.calls == ["random"]
 
     @pytest.mark.parametrize("strategy", [BALANCED_RESERVOIR, LOSS_AWARE_RESERVOIR])
     def test_class_counts_built_once_per_update(self, strategy, monkeypatch):
@@ -275,18 +267,6 @@ class TestBatchedUpdate:
         assert buf.last_insert_slot == (slots[-1] if slots[-1] >= 0 else None)
         buf.update(np.empty((0, 0)), [], [], rng)
         assert buf.last_insert_slot is None and buf.seen_count == 3
-
-    def test_ring_keeps_the_newest_items_of_each_class(self):
-        buf = ReplayBuffer(6, RING, class_count=3)
-        labels = [0, 1, 0, 0, 2, 0, 1]
-        buf.update(np.arange(7.0)[:, None], labels, [0.0] * 7, np.random.default_rng(0))
-        # segments of 2: class 0 keeps items 3 and 5, class 1 items 1 and 6,
-        # class 2 item 4; its second slot is never taken
-        assert buf.n_filled == 5
-        kept = sorted(zip(buf.labels[:5].tolist(), buf.features[:5, 0].tolist()))
-        assert kept == [(0, 3.0), (0, 5.0), (1, 1.0), (1, 6.0), (2, 4.0)]
-        assert buf.labels[5] == -1
-        assert_buffer_invariants(buf)
 
 
 def replacements(slots, labels, capacity):
@@ -687,58 +667,6 @@ class TestRefreshLossScores:
             buf.refresh_loss_scores([0], [-0.1])
 
 
-class TestRing:
-    def test_segment_keeps_newest_two(self):
-        buf = ReplayBuffer(10, RING, class_count=5)
-        rng = np.random.default_rng(0)
-        for loss in (1.0, 2.0, 3.0):
-            offer(buf, 0, rng, loss=loss)
-        assert buf.n_filled == 2
-        assert sorted(buf.loss[:2].tolist()) == [2.0, 3.0]
-        assert_buffer_invariants(buf)
-
-    def test_one_item_per_class_fills_each_segment(self):
-        buf = ReplayBuffer(10, RING, class_count=5)
-        rng = np.random.default_rng(0)
-        for c in range(5):
-            offer(buf, c, rng)
-        assert buf.n_filled == 5
-        assert buf.class_counts() == {c: 1 for c in range(5)}
-        assert_buffer_invariants(buf)
-
-    def test_underexploitation_after_first_task(self):
-        # 2 classes of a 10-class protocol seen: at least 3/5 of a ring
-        # buffer stays empty.
-        buf = ReplayBuffer(100, RING, class_count=10)
-        rng = np.random.default_rng(0)
-        for i in range(400):
-            offer(buf, i % 2, rng)
-        assert buf.n_filled <= 100 * 2 / 5
-        assert (100 - buf.n_filled) / 100 >= 3 / 5
-        assert_buffer_invariants(buf)
-
-    def test_label_out_of_range_rejected(self):
-        buf = ReplayBuffer(10, RING, class_count=5)
-        with pytest.raises(ValueError):
-            offer(buf, 5, np.random.default_rng(0))
-
-    def test_requires_class_count(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(10, RING, class_count=0)
-
-    def test_mixed_stream_keeps_the_newest_three_of_each_class(self):
-        # 13 slots over 4 classes: 3 items per class, slot 12 never used
-        buf = ReplayBuffer(13, RING, class_count=4)
-        rng = np.random.default_rng(6)
-        labels = rng.integers(0, 4, size=200)
-        buf.update(np.arange(200.0)[:, None], labels, np.zeros(200), rng)
-        assert buf.n_filled == 12
-        for c in range(4):
-            newest = np.flatnonzero(labels == c)[-3:]
-            assert sorted(buf.features[:12, 0][buf.labels[:12] == c]) == newest.tolist()
-        assert_buffer_invariants(buf)
-
-
 class TestDrawReplayBatch:
     def test_single_slot_is_repeated(self):
         buf = fill_buffer(RESERVOIR, labels=[7], capacity=5)
@@ -764,17 +692,6 @@ class TestDrawReplayBatch:
         ids, feats, labels = buf.draw_replay_batch(32, np.random.default_rng(4))
         assert len(ids) == len(feats) == len(labels) == 32
         assert all(0 <= i < 500 for i in ids)
-
-    def test_draw_from_ring_skips_empty_slots(self):
-        buf = ReplayBuffer(10, RING, class_count=5)
-        rng = np.random.default_rng(0)
-        offer(buf, 3, rng)
-        offer(buf, 1, rng)
-        # two of the ten slots are filled, and the draw stays in them
-        assert buf.n_filled == 2
-        ids, _, labels = buf.draw_replay_batch(40, rng)
-        assert set(ids.tolist()) == {0, 1}
-        assert set(labels.tolist()) == {1, 3}
 
 
 class TestOmissionProbability:
@@ -816,7 +733,8 @@ class TestBufferPlumbing:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ReplayBuffer(-1, RESERVOIR, class_count=2)
-        with pytest.raises(ValueError):
-            ReplayBuffer(4, "herding", class_count=2)
+        for unknown in ("herding", "ring"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                ReplayBuffer(4, unknown, class_count=2)
         with pytest.raises(ValueError):
             ReplayBuffer(4, RESERVOIR, class_count=0)
