@@ -355,6 +355,13 @@ TOY_CAPACITY = 12
 TOY_STRATEGIES = STRATEGIES
 
 
+def fifo_class_counts(labels, capacity: int, class_count: int) -> np.ndarray:
+    """Final per-class counts of a class-wise FIFO (Chaudhry et al. 2019)
+    of ``capacity`` slots fed ``labels``: each class keeps its newest
+    ``capacity // class_count`` items, so it holds ``min(n_c, that)``."""
+    return np.minimum(np.bincount(labels, minlength=class_count), capacity // class_count)
+
+
 def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
     """Stream a small balanced label stream (shaped by the ``TOY_*``
     constants) into one buffer per strategy and record the final counts.
@@ -380,8 +387,7 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
             buf.update(no_features, stream, zero_losses, rng)
             counts[strategy][rep] = np.bincount(buf.labels[:buf.n_filled],
                                                 minlength=TOY_CLASS_COUNT)
-        counts["ring"][rep] = np.minimum(np.bincount(stream, minlength=TOY_CLASS_COUNT),
-                                         TOY_CAPACITY // TOY_CLASS_COUNT)
+        counts["ring"][rep] = fifo_class_counts(stream, TOY_CAPACITY, TOY_CLASS_COUNT)
     return counts
 
 

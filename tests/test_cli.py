@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 from replay_lab import cli
 from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
-                            balance_toy, load_experiment_config, main,
+                            balance_toy, fifo_class_counts,
+                            load_experiment_config, main,
                             monte_carlo_omission, parse_config_text,
                             train_config_from_experiment)
 from replay_lab.datasets import to_idx_images, to_idx_labels
@@ -98,6 +100,18 @@ class TestConfigParsing:
         assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
         assert "config error: line 3: tricks is already set on line 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, key, first, later", [
+        # a dotted key; blank and comment lines still count as lines
+        ("synthetic.separation = 4.0\n# again\n\nsynthetic.separation = 5.0\n",
+         "synthetic.separation", 1, 4),
+        ("seeds = 0\nseeds = 0\n", "seeds", 1, 2),                     # the same value
+        ("tricks=bic  # first\n   tricks   =   lars\n", "tricks", 1, 2),  # other spacing
+    ])
+    def test_key_set_twice_in_any_layout_rejected(self, text, key, first, later):
+        with pytest.raises(ConfigError,
+                           match=f"^line {later}: {key} is already set on line {first}$"):
+            parse_config_text(text)
 
     def test_overrides_beat_file_beats_defaults(self, tmp_path):
         path = write_config(tmp_path)
@@ -304,6 +318,57 @@ class TestCmdBalanceToy:
         counts = balance_toy(repetitions=60, seed=1)
         mse = {s: float(((m - 2.0) ** 2).mean()) for s, m in counts.items()}
         assert mse["brs"] < mse["reservoir"]
+
+
+def fifo_by_reference(labels, capacity, class_count):
+    """A class-wise FIFO run item by item: each class owns
+    ``capacity // class_count`` slots and keeps the newest items that fit.
+    Returns each class's kept stream positions, oldest first."""
+    segment = capacity // class_count
+    kept = [deque(maxlen=segment) for _ in range(class_count)]
+    for position, label in enumerate(labels):
+        if segment:
+            kept[label].append(position)
+    return [list(k) for k in kept]
+
+
+def seeded_labels(n, class_count, seed):
+    return np.random.default_rng(seed).integers(0, class_count, size=n)
+
+
+class TestClassWiseFifo:
+    """balance-toy's ``ring`` row: the final counts of a class-wise FIFO,
+    read from the stream instead of streamed through a buffer."""
+
+    @pytest.mark.parametrize("capacity, class_count, labels", [
+        (10, 5, [0, 0, 0]),                      # a segment keeps the newest two
+        (10, 5, [0, 1, 2, 3, 4]),                # one item per class
+        (6, 3, [0, 1, 0, 0, 2, 0, 1]),           # class 2 leaves a slot empty
+        (13, 4, seeded_labels(200, 4, 6)),       # slot 12 is never used
+        (100, 10, [i % 2 for i in range(400)]),  # two classes of ten seen
+        (8, 3, seeded_labels(60, 3, 0)),
+        (3, 4, seeded_labels(65, 4, 1)),         # fewer slots than classes
+        (0, 3, seeded_labels(13, 3, 2)),         # no-rehearsal buffer
+        (2, 5, seeded_labels(16, 5, 3)),
+        (6, 2, seeded_labels(8, 2, 4)),
+    ])
+    def test_counts_match_the_fifo_run_item_by_item(self, capacity, class_count, labels):
+        kept = fifo_by_reference(labels, capacity, class_count)
+        counts = fifo_class_counts(np.asarray(labels), capacity, class_count)
+        assert counts.tolist() == [len(k) for k in kept]
+        assert counts.sum() <= capacity
+
+    def test_each_class_keeps_its_newest_items(self):
+        labels = [0, 1, 0, 0, 2, 0, 1]
+        assert fifo_by_reference(labels, 6, 3) == [[3, 5], [1, 6], [4]]
+        assert fifo_class_counts(np.asarray(labels), 6, 3).tolist() == [2, 2, 1]
+
+    def test_underexploitation_after_first_task(self):
+        # 2 classes of a 10-class protocol seen: at least 3/5 of the buffer
+        # stays empty, where a reservoir buffer would be full
+        counts = fifo_class_counts(np.arange(400) % 2, 100, 10)
+        assert counts.tolist() == [10, 10] + [0] * 8
+        assert (100 - counts.sum()) / 100 >= 3 / 5
 
 
 class TestCmdOmission:

@@ -89,6 +89,24 @@ class TestFillPhase:
         assert buf.seen_count == 3
         assert buf.labels[3] == -1
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_n_filled_follows_seen_count_through_the_fill(self, strategy):
+        buf = ReplayBuffer(4, strategy, class_count=3)
+        rng = np.random.default_rng(0)
+        for seen in range(1, 8):
+            offer(buf, seen % 3, rng, loss=1.0)
+            assert buf.n_filled == min(seen, 4)
+            assert buf.is_full == (seen >= 4)
+            assert_buffer_invariants(buf)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_n_filled_is_read_only(self, strategy):
+        # it is read from seen_count, so no code can set it out of step
+        buf = fill_buffer(strategy, labels=[0, 1], capacity=4)
+        with pytest.raises(AttributeError):
+            buf.n_filled = 4
+        assert buf.n_filled == 2
+
     def test_capacity_zero_is_a_no_op_store(self):
         buf = ReplayBuffer(0, RESERVOIR, class_count=CLASS_COUNT)
         slots = buf.update(np.empty((3, 0)), [0, 1, 2], [0.0] * 3, np.random.default_rng(0))
@@ -686,6 +704,14 @@ class TestDrawReplayBatch:
         freq = np.bincount(ids, minlength=20) / 40_000
         sd = np.sqrt(0.05 * 0.95 / 40_000)
         assert np.all(np.abs(freq - 0.05) <= 4 * sd)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_draw_from_a_part_filled_buffer_skips_empty_slots(self, strategy):
+        buf = fill_buffer(strategy, labels=[3, 1], capacity=10, class_count=5)
+        # two of the ten slots are filled, and the draw stays in them
+        ids, _, labels = buf.draw_replay_batch(40, np.random.default_rng(0))
+        assert set(ids.tolist()) == {0, 1}
+        assert set(labels.tolist()) == {1, 3}
 
     def test_default_pairing_batch_32_from_capacity_500(self):
         buf = fill_buffer(RESERVOIR, labels=[i % 10 for i in range(500)], capacity=500)
