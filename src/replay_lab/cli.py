@@ -140,10 +140,6 @@ class ExperimentConfig:
         blob = "\n".join(self.canonical_lines()).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def echo_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in sorted(self.values.items())}
-
 
 def _parse_value(key: str, text: str, where: str):
     """Parse a config line's or a flag's value with the parser of ``key``."""
@@ -276,7 +272,10 @@ class _OutputPair:
 
     def __init__(self, out: str, csv_name: str, json_name: str, schema: str):
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         self.csv, self.json, self.schema = out_dir / csv_name, out_dir / json_name, schema
 
     def write(self, config_hash: str, header: list[str], rows: list[list],
@@ -317,7 +316,7 @@ def cmd_run(args) -> int:
                     + rep.per_task_accuracy
                     + [rep.average_accuracy, rep.wall_clock_seconds])
     out.write(chash, header, rows, {
-        "config": cfg.echo_dict(),
+        "config": cfg.values,
         "config_sha256": chash,
         "runs": [rep.to_json_dict() for rep in reports],
     })
@@ -327,6 +326,11 @@ def cmd_run(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = load_experiment_config(args.config, _run_overrides(args))
+    # every row adds tricks to experience replay: under these settings each
+    # row would run SGD, or the class-IL run that `method = joint` replaces
+    for line in cfg.canonical_lines():
+        if line in ("method = joint", "replay_enabled = false", "buffer_capacity = 0"):
+            raise ConfigError(f"ablation runs experience replay, so it cannot take {line}")
     steps = ablation_configs(train_config_from_experiment(cfg, cfg["seeds"][0]))
     out = _OutputPair(args.out, "ablation.csv", "ablation.json", "replay-lab-ablation-v2")
     stream = build_task_stream(cfg)
@@ -344,7 +348,7 @@ def cmd_ablation(args) -> int:
     csv_rows = [[r["label"], "+".join(r["tricks"]) or "none", seeds, chash,
                  r["mean_accuracy"], r["std_accuracy"]] for r in summary]
     out.write(chash, header, csv_rows,
-              {"config": cfg.echo_dict(), "config_sha256": chash, "rows": summary})
+              {"config": cfg.values, "config_sha256": chash, "rows": summary})
     print(f"wrote {out.csv} and {out.json}")
     return EXIT_OK
 

@@ -246,8 +246,7 @@ def init_state(task_stream: TaskStream, config: TrainConfig) -> TrainState:
 
 
 def run_class_il(task_stream: TaskStream, config: TrainConfig,
-                 eval_stream: TaskStream | None = None,
-                 method: str | None = None) -> RunReport:
+                 eval_stream: TaskStream | None = None) -> RunReport:
     """Train over the task sequence and evaluate on every task's test set.
 
     BiC is fitted at the end of each task from the second onward (after the
@@ -286,7 +285,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
     if state.buffer.capacity > 0 and state.buffer.is_full:
         mse = buffer_balance_mse(state.buffer)
     return RunReport(
-        method=method if method is not None else method_label(config),
+        method=method_label(config),
         seed=config.seed,
         per_task_accuracy=per_task,
         average_accuracy=avg,
@@ -297,7 +296,7 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
         correction=None if state.correction is None else state.correction.summary,
         examples_seen=state.examples_seen,
         wall_clock_seconds=time.perf_counter() - t_start,
-        config=config_dict(config),
+        config=asdict(config),
     )
 
 
@@ -314,22 +313,11 @@ def _train_one_task(state: TrainState, task: Task, config: TrainConfig) -> list[
     return infos
 
 
-def config_dict(config: TrainConfig) -> dict:
-    out = asdict(config)
-    out["hidden_dims"] = list(config.hidden_dims)
-    if config.image_dims is not None:
-        out["image_dims"] = list(config.image_dims)
-    return out
-
-
 def baseline_config(config: TrainConfig, buffer_capacity: int = 0) -> TrainConfig:
-    return replace(config, buffer_capacity=buffer_capacity, iba=False, bic=False,
-                   cbic=False, elrd=False, brs=False, lars=False)
-
-
-def run_sgd_baseline(task_stream: TaskStream, config: TrainConfig) -> RunReport:
-    """Sequential fine-tuning with no buffer and no tricks (lower bound)."""
-    return run_class_il(task_stream, baseline_config(config), method="sgd")
+    """``config`` with no tricks; at the default capacity 0, the plain SGD
+    fine-tuning baseline (lower bound), which ``method_label`` calls ``sgd``."""
+    return replace(config, buffer_capacity=buffer_capacity,
+                   **dict.fromkeys(TRICK_TOKENS, False))
 
 
 def merge_tasks(task_stream: TaskStream) -> TaskStream:
@@ -347,8 +335,9 @@ def merge_tasks(task_stream: TaskStream) -> TaskStream:
 def run_joint_baseline(task_stream: TaskStream, config: TrainConfig) -> RunReport:
     """Train on the shuffled union of all tasks at the same epoch budget
     (upper bound), evaluating on the original per-task test sets."""
-    return run_class_il(merge_tasks(task_stream), baseline_config(config),
-                        eval_stream=task_stream, method="joint")
+    report = run_class_il(merge_tasks(task_stream), baseline_config(config),
+                          eval_stream=task_stream)
+    return replace(report, method="joint")
 
 
 @dataclass

@@ -24,9 +24,8 @@ from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, \
 from replay_lab.evaluation import kl_to_uniform
 from replay_lab.mlp import FD_STEP, GRADCHECK_ABS_FLOOR, GRADCHECK_REL_TOL
 from replay_lab.sampling import ReplayBuffer, lars_scores
-from replay_lab.trainer import (TrainConfig, _train_one_task, init_state,
-                                run_class_il, run_joint_baseline,
-                                run_sgd_baseline)
+from replay_lab.trainer import (TrainConfig, _train_one_task, baseline_config,
+                                init_state, run_class_il, run_joint_baseline)
 
 # Synthetic smoke protocol: 5 tasks x 2 classes on 16-dim Gaussian blobs.
 # Small buffer and moderate overlap keep the trick effects visible.
@@ -144,7 +143,7 @@ def test_criterion_05_elrd_wiring():
 def _ordering_margins(stream, base, tricks, seeds):
     means = {}
     runs = {
-        "sgd": lambda s: run_sgd_baseline(stream, replace(base, seed=s)),
+        "sgd": lambda s: run_class_il(stream, baseline_config(replace(base, seed=s))),
         "er": lambda s: run_class_il(stream, replace(base, seed=s)),
         "er_tricks": lambda s: run_class_il(stream, replace(tricks, seed=s)),
         "joint": lambda s: run_joint_baseline(stream, replace(base, seed=s)),

@@ -62,3 +62,25 @@ def test_lars_bic_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
     accuracy, problems = job.check_round()
     assert problems == []
     assert workloads.MIN_ACCURACY < accuracy <= 1.0
+
+
+def test_fmnist_iba_round_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # one seed of the benchmark's fmnist-iba round (IDX files written by the
+    # benchmark's own writer, shift/flip augmentation and IBA), checked as the
+    # benchmark checks it
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    class OneSeed(workloads.FmnistIba):
+        n_seeds = 1
+
+    monkeypatch.setattr(cli, "build_task_stream", cli.build_task_stream)   # restored after the test
+    job = OneSeed(0, tmp_path)
+    assert job.prepare() == []
+    job.setup(cli)
+    assert job.check_inputs() == []
+    job.reuse_setup(cli)
+    assert cli.main(job.argv()) == 0
+    accuracy, problems = job.check_round()
+    assert problems == []
+    assert workloads.MIN_ACCURACY < accuracy <= 1.0

@@ -278,6 +278,23 @@ class TestCmdAblation:
         assert "config error" in err and "unknown config key 'base_strategy'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, flags, line", [
+        ("replay_enabled = false\n", [], "replay_enabled = false"),
+        ("", ["--buffer", "0"], "buffer_capacity = 0"),
+        ("method = joint\n", [], "method = joint"),
+    ], ids=["replay_enabled", "buffer", "method"])
+    def test_setting_that_runs_no_replay_is_2_before_any_data_is_read(
+            self, tmp_path, monkeypatch, capsys, setting, flags, line):
+        # each row would be an SGD or a plain class-IL run under an `er` label
+        monkeypatch.setattr(cli, "build_task_stream",
+                            lambda cfg: pytest.fail("data was read before the check"))
+        cfg = write_config(tmp_path, tiny_config(setting))
+        out = tmp_path / "out"
+        assert main(["ablation", "--config", cfg, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: ablation runs experience replay, so it cannot take {line}\n"
+        assert not out.exists()
+
 
 def test_run_and_ablation_write_the_v2_schema_without_the_slot_dump(tmp_path):
     cfg = write_config(tmp_path)
@@ -629,6 +646,14 @@ class TestExitCodes:
         "tricks = iba\nimage_dims = 3,3,1",
         "image_dims = 3,3,1",
         "image_dims = 8",
+        "aug.stream_enabled = maybe",
+        "dataset = cifar10",
+        "method = ewc",
+        "seeds = none",
+        "buffer_capacity = -1",
+        "replay_batch_size = 0",
+        "stream_batch_size = 0",
+        "epochs_per_task = 0",
     ])
     def test_bad_setting_is_2_before_any_data_is_read(self, tmp_path, monkeypatch, setting):
         def no_data(cfg):
@@ -650,6 +675,29 @@ class TestExitCodes:
                                                  f"synthetic.separation = {separation}\n"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: synthetic.separation" in capsys.readouterr().err
+
+    def test_off_and_none_values_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_config("aug.stream_enabled = off\n"
+                                                 "hidden_dims = none\n"))
+        train_cfg = train_config_from_experiment(load_experiment_config(cfg, {}), 0)
+        assert train_cfg.aug_stream_enabled is False and train_cfg.hidden_dims == ()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{cfg}"],
+        ["ablation", "--config", "{cfg}", "--seeds", "0"],
+        ["balance-toy", "--repetitions", "1"],
+        ["omission", "--classes", "2", "--capacity", "1", "--trials", "1"],
+    ], ids=["run", "ablation", "balance-toy", "omission"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_output_directory_that_cannot_be_made_is_2(self, tmp_path, capsys, argv, out):
+        cfg = write_config(tmp_path)
+        (tmp_path / "file").write_text("not a directory\n")
+        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {tmp_path / out}: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
 
     def test_separation_with_a_finite_largest_mean_is_accepted(self, tmp_path):
         # 4 classes on 8 axes: the largest class mean is separation itself

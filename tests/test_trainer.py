@@ -13,10 +13,9 @@ from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
 from replay_lab.evaluation import average_final_accuracy, task_prediction_distribution
 from replay_lab.mlp import Mlp, softmax_cross_entropy
 from replay_lab.trainer import (ELRD_FINAL_FRACTION, TrainConfig, ablation_configs,
-                                ablation_suite, er_train_step,
+                                ablation_suite, baseline_config, er_train_step,
                                 init_state, method_label, merge_tasks,
-                                run_class_il, run_joint_baseline,
-                                run_sgd_baseline, _train_one_task)
+                                run_class_il, run_joint_baseline, _train_one_task)
 
 SMOKE = dict(class_count=4, per_class_train=30, per_class_test=10,
              feature_dim=8, separation=4.0, classes_per_task=2)
@@ -240,16 +239,17 @@ class TestElrdWiring:
 class TestBaselines:
     def test_capacity_zero_run_equals_sgd_baseline(self):
         stream = small_stream()
-        config = small_config(buffer_capacity=0)
-        a = run_class_il(stream, config).to_json_dict()
-        b = run_sgd_baseline(stream, config).to_json_dict()
+        a = run_class_il(stream, small_config(buffer_capacity=0)).to_json_dict()
+        b = run_class_il(stream, baseline_config(
+            small_config(bic=True, elrd=True, lars=True))).to_json_dict()
         for rep in (a, b):
             rep.pop("wall_clock_seconds")
         assert a == b
+        assert a["method"] == "sgd"
 
     def test_sgd_baseline_is_biased_to_the_last_task(self):
         stream = small_stream()
-        report = run_sgd_baseline(stream, small_config())
+        report = run_class_il(stream, baseline_config(small_config()))
         dist = np.array(report.task_pred_distribution_raw)
         assert dist.argmax() == stream.n_tasks - 1
         assert report.per_task_accuracy[-1] > report.per_task_accuracy[0]
@@ -272,7 +272,7 @@ class TestBaselines:
         from replay_lab.evaluation import kl_to_uniform
         stream = small_stream()
         joint = run_joint_baseline(stream, small_config())
-        sgd = run_sgd_baseline(stream, small_config())
+        sgd = run_class_il(stream, baseline_config(small_config()))
         assert kl_to_uniform(joint.task_pred_distribution_raw) < \
             kl_to_uniform(sgd.task_pred_distribution_raw)
 
@@ -390,7 +390,7 @@ class TestCorrectionsDuringRuns:
 
     def test_side_buffer_mode_trains_like_sgd_but_fits_corrections(self):
         stream = small_stream()
-        plain = run_sgd_baseline(stream, small_config())
+        plain = run_class_il(stream, baseline_config(small_config()))
         side = run_class_il(stream, small_config(replay_enabled=False, cbic=True,
                                                  buffer_capacity=20))
         np.testing.assert_allclose(side.task_pred_distribution_raw,
