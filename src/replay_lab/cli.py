@@ -36,7 +36,7 @@ from .datasets import (FASHION_MNIST_CLASSES, FASHION_MNIST_IMAGE_DIMS, IdxForma
 from .mlp import FD_STEP, Mlp, gradient_check
 from .sampling import STRATEGIES, ReplayBuffer, omission_probability
 from .trainer import (TRICK_TOKENS, TrainConfig, ablation_configs, ablation_suite,
-                      aug_policy, run_class_il, run_joint_baseline)
+                      aug_policy, run_class_il, run_joint_baseline, run_many)
 
 DATA_ENV_VAR = "REPLAYLAB_DATA"
 
@@ -297,13 +297,9 @@ def cmd_run(args) -> int:
     stream = build_task_stream(cfg)
     chash = cfg.config_hash()
 
-    reports = []
-    for seed in cfg["seeds"]:
-        train_cfg = train_config_from_experiment(cfg, seed)
-        if cfg["method"] == "joint":
-            reports.append(run_joint_baseline(stream, train_cfg))
-        else:
-            reports.append(run_class_il(stream, train_cfg))
+    run = run_joint_baseline if cfg["method"] == "joint" else run_class_il
+    reports = run_many(run, stream,
+                       [train_config_from_experiment(cfg, seed) for seed in cfg["seeds"]])
 
     n_tasks = stream.n_tasks
     header = (["method", "tricks", "seed", "config_hash"]

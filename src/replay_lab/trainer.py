@@ -8,7 +8,7 @@ the buffer at task boundaries and applied at evaluation time only.
 
 A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
-runs are reproducible and safe to execute in parallel.
+runs are reproducible and safe to execute in parallel, as ``run_many`` does.
 """
 
 from __future__ import annotations
@@ -340,6 +340,124 @@ def run_joint_baseline(task_stream: TaskStream, config: TrainConfig) -> RunRepor
     return replace(report, method="joint")
 
 
+def process_count(n_runs: int) -> int:
+    """The number of processes ``run_many`` trains ``n_runs`` runs in.
+
+    One per usable core, and at most one per run, when ``os.fork`` exists
+    and the environment pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``,
+    or failing that ``OMP_NUM_THREADS``, is 1); otherwise 1. At the default
+    thread count, two processes with a BLAS thread per core each ran several
+    times slower than one (README, "Parallel runs").
+    """
+    import os
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if not hasattr(os, "fork") or (threads or "").strip() != "1":
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(n_runs, cores))
+
+
+def run_many(run, task_stream: TaskStream, configs) -> list[RunReport]:
+    """``[run(task_stream, c) for c in configs]``, trained in
+    ``process_count(len(configs))`` processes.
+
+    With n processes, process k trains ``configs[k::n]``; the caller is
+    process 0. The others are forked, so they share the stream without
+    copying it, and each sends back its reports, or the exception that
+    stopped it, pickled over a pipe. The reports equal a serial loop's, and
+    the exception raised is the one a serial loop raises: that of the first
+    failing config in list order. A process that ends without sending its
+    result is a ``RuntimeError`` naming its exit status. Every forked process
+    is reaped before this returns or raises.
+    """
+    configs = list(configs)
+    n = process_count(len(configs))
+    if n == 1:
+        return [run(task_stream, c) for c in configs]
+    import os
+    import pickle
+    import signal
+    import sys
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reports = [None] * len(configs)
+    failures = []   # (config index, exception, child traceback or None)
+    children = []   # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share_and_exit(run, task_stream, configs, range(k, len(configs), n),
+                                    write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i in range(0, len(configs), n):
+            try:
+                reports[i] = run(task_stream, configs[i])
+            except Exception as exc:
+                if i == 0:
+                    raise   # first in list order; ``finally`` stops the children
+                # a child may still fail on an earlier config
+                failures.append((i, exc, None))
+                break
+        for k in range(1, n):
+            pid, pipe = children[0]
+            with pipe:
+                blob = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0 or not blob:
+                raise RuntimeError(f"worker process {k} (pid {pid}) exited with status "
+                                   f"{code} without sending its runs")
+            share, failure = pickle.loads(blob)
+            for i, report in zip(range(k, len(configs), n), share):
+                reports[i] = report
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+    if failures:
+        _, exc, child_traceback = min(failures, key=lambda f: f[0])
+        if child_traceback is None:
+            raise exc
+        raise exc from RuntimeError(f"in a worker process:\n{child_traceback}")
+    return reports
+
+
+def _run_share_and_exit(run, task_stream: TaskStream, configs, indices, write_fd: int):
+    """Train ``configs[i]`` for each ``i`` of ``indices`` in a forked
+    process, up to the first failure, and write ``(reports, failure)`` to
+    ``write_fd``, where ``failure`` is ``(i, exception, its formatted
+    traceback)`` or None. Never returns: the process ends here, so it cannot
+    go on into the caller's code, which may be a test runner."""
+    import os
+    code = 1
+    try:
+        import pickle
+        import traceback
+
+        share, failure = [], None
+        for i in indices:
+            try:
+                share.append(run(task_stream, configs[i]))
+            except Exception as exc:
+                failure = (i, exc, "".join(traceback.format_exception(exc)))
+                break
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((share, failure)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 @dataclass
 class AblationRow:
     label: str
@@ -377,13 +495,16 @@ def ablation_configs(base_config: TrainConfig) -> list[tuple[str, TrainConfig]]:
 
 def ablation_suite(task_stream: TaskStream, steps: list[tuple[str, TrainConfig]],
                    seeds) -> list[AblationRow]:
-    """Run each (label, config) row of ``ablation_configs`` once per seed."""
+    """Run each (label, config) row of ``ablation_configs`` once per seed,
+    all rows' runs in one ``run_many``."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    runs = run_many(run_class_il, task_stream,
+                    [replace(step_cfg, seed=s) for _, step_cfg in steps for s in seeds])
     rows = []
-    for label, step_cfg in steps:
-        reports = [run_class_il(task_stream, replace(step_cfg, seed=s)) for s in seeds]
+    for i, (label, step_cfg) in enumerate(steps):
+        reports = runs[i * len(seeds):(i + 1) * len(seeds)]
         accs = np.array([r.average_accuracy for r in reports])
         rows.append(AblationRow(label=label, config=step_cfg, reports=reports,
                                 mean_accuracy=float(accs.mean()),

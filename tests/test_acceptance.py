@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from replay_lab import cli
 from replay_lab.augmentation import AugPolicy, replay_with_iba
 from replay_lab.cli import balance_toy, gradcheck, main, monte_carlo_omission
 from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, \
@@ -298,7 +299,9 @@ def test_criterion_09_lars_score_oracle():
           "100 random buffers match the brute-force oracle within 1e-12")
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+@pytest.mark.parametrize("processes_b", [1, 2])
+def test_criterion_10_cli_determinism(tmp_path, two_processes, processes_b):
+    # run b trains in `processes_b` processes; run a is always serial
     cfg_text = "\n".join([
         "dataset = synthetic",
         "seeds = 0,1",
@@ -318,6 +321,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     outputs = []
     for name in ("a", "b"):
+        if name == "b" and processes_b == 2:
+            forks = two_processes(cli, "run_class_il")
         out = tmp_path / name
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         csv_lines = (out / "runs.csv").read_text().splitlines()
@@ -330,5 +335,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                       if '"wall_clock_seconds"' not in line]
         outputs.append((csv_lines[0], stripped_csv, "\n".join(json_lines)))
     assert outputs[0] == outputs[1]
+    if processes_b == 2:
+        assert len(forks.forked) == 1 and len(forks.callers()) == 2
     print("criterion 10 PASS: repeated invocations byte-identical outside "
           "wall-clock fields")

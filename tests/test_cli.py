@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replay_lab import cli
+from replay_lab import cli, trainer
 from replay_lab.cli import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                             balance_toy, fifo_class_counts,
                             load_experiment_config, main,
@@ -194,6 +194,33 @@ def test_readme_lists_exactly_the_subcommands():
     assert sorted(listed) == sorted(parser_subcommands)
 
 
+# What a fresh ``import replay_lab.cli`` loads beyond the interpreter's start,
+# numpy's own submodules aside, as ``-X importtime`` listed it before runs
+# could be forked. Forking adds no module-level import: benchmark set-up
+# times include this import.
+CLI_IMPORTS = {
+    "__future__", "_ast", "_blake2", "_compat_pickle", "_contextvars", "_ctypes", "_datetime",
+    "_hashlib", "_json", "_opcode", "_pickle", "argparse", "ast", "contextvars", "copy",
+    "ctypes", "ctypes._endian", "dataclasses", "datetime", "dis", "gettext", "gzip", "hashlib",
+    "importlib.machinery", "inspect", "json", "json.decoder", "json.encoder", "json.scanner",
+    "linecache", "numbers", "numpy", "opcode", "pickle", "platform", "replay_lab",
+    "replay_lab.augmentation", "replay_lab.bias_correction", "replay_lab.cli",
+    "replay_lab.datasets", "replay_lab.evaluation", "replay_lab.mlp", "replay_lab.sampling",
+    "replay_lab.trainer", "textwrap", "token", "tokenize", "traceback",
+}
+
+
+def test_import_loads_no_process_pool_and_no_new_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import replay_lab.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert not {m for m in loaded if m.split(".")[0] in ("multiprocessing", "concurrent")}
+    assert {m for m in loaded if not m.startswith("numpy.")} == CLI_IMPORTS
+
+
 class TestCmdRun:
     def test_one_row_per_seed(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -251,6 +278,29 @@ class TestDeterminism:
         main(["run", "--config", cfg, "--tricks", "bic,elrd,lars",
               "--out", str(out_b)])
         assert self.strip_wall_clock(out_a) == self.strip_wall_clock(out_b)
+
+    @pytest.mark.parametrize("argv, owner, name", [
+        (["run", "--config", "{joint}"], cli, "run_joint_baseline"),
+        (["ablation", "--config", "{cfg}"], trainer, "run_class_il"),
+    ], ids=["joint", "ablation"])
+    def test_forked_runs_write_the_serial_bytes(self, tmp_path, two_processes,
+                                                argv, owner, name):
+        cfg = write_config(tmp_path)
+        joint = write_config(tmp_path, tiny_config("method = joint\n"), "joint.cfg")
+        argv = [a.format(cfg=cfg, joint=joint) for a in argv] + ["--seeds", "0,1"]
+        outputs = []
+        for out in (tmp_path / "serial", tmp_path / "forked"):
+            if out.name == "forked":
+                forks = two_processes(owner, name)
+            assert main(argv + ["--out", str(out)]) == 0
+            if argv[0] == "run":
+                outputs.append(self.strip_wall_clock(out))
+            else:
+                report = (out / "ablation.json").read_text().splitlines()
+                outputs.append(((out / "ablation.csv").read_text(),
+                                [line for line in report if '"wall_clock_seconds"' not in line]))
+        assert outputs[0] == outputs[1]
+        assert len(forks.forked) == 1 and len(forks.callers()) == 2
 
 
 class TestCmdAblation:
@@ -610,15 +660,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
 
-    def test_runtime_failure_is_4(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_runtime_failure_is_4(self, tmp_path, monkeypatch, capsys, two_processes,
+                                  processes):
         # an unexpected exception during training exits 4 with its traceback
         def fail(*args, **kwargs):
             raise RuntimeError("training broke")
         monkeypatch.setattr(cli, "run_class_il", fail)
+        if processes == 2:
+            forks = two_processes(cli, "run_class_il")
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: training broke" in err
+        assert processes == 1 or len(forks.forked) == 1
+
+    @pytest.mark.parametrize("seeds", ["0,1", "0,1,2"])
+    @pytest.mark.parametrize("error", [FloatingPointError, RuntimeError])
+    def test_failure_in_a_forked_share_is_4_with_that_runs_message(
+            self, tmp_path, monkeypatch, capsys, two_processes, seeds, error):
+        # seed 1 fails, and only in a forked process; with seeds 0,1,2 seed 2
+        # fails in this process too, but a serial loop would stop at seed 1
+        test_pid, run = os.getpid(), cli.run_class_il
+
+        def fail_from_seed_1(stream, config):
+            if config.seed == 2 or (config.seed == 1 and os.getpid() != test_pid):
+                raise error(f"seed {config.seed} broke")
+            return run(stream, config)
+        monkeypatch.setattr(cli, "run_class_il", fail_from_seed_1)
+        forks = two_processes(cli, "run_class_il")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--seeds", seeds, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        if error is FloatingPointError:
+            assert err == "runtime error: seed 1 broke\n"
+        else:
+            assert "in a worker process" in err and err.endswith("RuntimeError: seed 1 broke\n")
+        assert len(forks.forked) == 1 and len(forks.callers()) == 2
+        assert not (out / "report.json").exists()
+
+    def test_forked_process_that_exits_without_its_runs_is_4(self, tmp_path, monkeypatch,
+                                                              capsys, two_processes):
+        test_pid = os.getpid()
+
+        def exit_if_forked(stream, config):
+            if os.getpid() != test_pid:
+                os._exit(9)
+        monkeypatch.setattr(cli, "run_class_il", exit_if_forked)
+        forks = two_processes(cli, "run_class_il")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"RuntimeError: worker process 1 (pid {forks.forked[0]}) exited with status 9 " \
+               "without sending its runs" in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("setting", [
         "classes_per_task = 0",
@@ -712,13 +809,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_loss_is_4_and_names_task_and_step(self, tmp_path, capsys):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_non_finite_loss_is_4_and_names_task_and_step(self, tmp_path, capsys,
+                                                          two_processes, processes):
         # lr0 = 1e30 blows the weights up: both losses are NaN at step 4 of task 0
+        if processes == 2:
+            forks = two_processes(cli, "run_class_il")
         cfg = write_config(tmp_path, "lr0 = 1e30\n")
         out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--tricks", "bic,elrd,lars",
+        assert main(["run", "--config", cfg, "--tricks", "bic,elrd,lars", "--seeds", "0,1",
                      "--out", str(out)]) == 4
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "task 0, step 4" in err
         assert not (out / "report.json").exists()
+        assert processes == 1 or len(forks.forked) == 1

@@ -2,6 +2,8 @@
 
 import copy
 import math
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from replay_lab.evaluation import average_final_accuracy, task_prediction_distri
 from replay_lab.mlp import Mlp, softmax_cross_entropy
 from replay_lab.trainer import (ELRD_FINAL_FRACTION, TrainConfig, ablation_configs,
                                 ablation_suite, baseline_config, er_train_step,
-                                init_state, method_label, merge_tasks,
+                                init_state, method_label, merge_tasks, process_count,
                                 run_class_il, run_joint_baseline, _train_one_task)
 
 SMOKE = dict(class_count=4, per_class_train=30, per_class_test=10,
@@ -477,7 +479,9 @@ class TestAblationSuite:
         stream = small_stream()
         rows = ablation_suite(stream, ablation_configs(small_config()), seeds=[0, 1])
         assert [r.label for r in rows] == ["er", "+bic", "+elrd", "+brs", "+lars"]
-        assert all(len(r.reports) == 2 for r in rows)
+        for row in rows:
+            assert [r.config for r in row.reports] == \
+                [asdict(replace(row.config, seed=s)) for s in (0, 1)]
 
     def test_iba_row_present_with_stream_aug(self):
         stream = small_stream()
@@ -501,3 +505,42 @@ class TestAblationSuite:
             accs = [rep.average_accuracy for rep in row.reports]
             assert row.mean_accuracy == pytest.approx(float(np.mean(accs)))
             assert row.std_accuracy == pytest.approx(float(np.std(accs)))
+
+
+class TestProcessCount:
+    """Runs fork only where BLAS is pinned to one thread: two processes at
+    the default thread count oversubscribe the cores (README, "Parallel
+    runs"). Checked without forking."""
+
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    @pytest.mark.parametrize("env, runs, want", [
+        ({}, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 12, 1),
+        ({"OMP_NUM_THREADS": "2"}, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 12, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 12, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 12, 4),
+    ])
+    def test_rule(self, monkeypatch, env, runs, want):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert process_count(runs) == want
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert process_count(12) == 3
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert process_count(12) == 1
