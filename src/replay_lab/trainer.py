@@ -14,7 +14,11 @@ runs are reproducible and safe to execute in parallel, as ``run_many`` does.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 import time
+import traceback
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
@@ -349,7 +353,6 @@ def process_count(n_runs: int) -> int:
     thread count, two processes with a BLAS thread per core each ran several
     times slower than one (README, "Parallel runs").
     """
-    import os
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     if not hasattr(os, "fork") or (threads or "").strip() != "1":
         return 1
@@ -375,12 +378,7 @@ def run_many(run, task_stream: TaskStream, configs) -> list[RunReport]:
     """
     configs = list(configs)
     n = process_count(len(configs))
-    if n == 1:
-        return [run(task_stream, c) for c in configs]
-    import os
-    import pickle
-    import signal
-    import sys
+    import signal   # not at module level: importing it adds about 1 ms to start-up
 
     sys.stdout.flush()
     sys.stderr.flush()
@@ -438,12 +436,8 @@ def _run_share_and_exit(run, task_stream: TaskStream, configs, indices, write_fd
     ``write_fd``, where ``failure`` is ``(i, exception, its formatted
     traceback)`` or None. Never returns: the process ends here, so it cannot
     go on into the caller's code, which may be a test runner."""
-    import os
     code = 1
     try:
-        import pickle
-        import traceback
-
         share, failure = [], None
         for i in indices:
             try:
