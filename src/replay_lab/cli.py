@@ -369,25 +369,32 @@ def balance_toy(repetitions: int, seed: int) -> dict[str, np.ndarray]:
     Returns, per strategy, a (repetitions, TOY_CLASS_COUNT) matrix of counts,
     and last a ``"ring"`` matrix: the exact final counts of a class-wise FIFO,
     ``min(n_c, TOY_CAPACITY // TOY_CLASS_COUNT)`` for the ``n_c`` items of
-    class c, read from the stream. The stream order is shuffled fresh each
-    repetition, and all strategies within a repetition see the same order,
-    so their statistics are paired.
+    class c, read from the stream. Each row is one ``balance_repetition``;
+    ``run_many`` splits them over processes, which changes no draw, since
+    each repetition seeds itself.
     """
+    names = (*TOY_STRATEGIES, "ring")
+    stacked = np.array(run_many(balance_repetition, seed, range(repetitions)))
+    stacked = stacked.reshape(repetitions, len(names), TOY_CLASS_COUNT)
+    return {name: stacked[:, row].copy() for row, name in enumerate(names)}
+
+
+def balance_repetition(seed: int, rep: int) -> np.ndarray:
+    """Repetition ``rep`` of ``balance_toy``: a (len(TOY_STRATEGIES) + 1,
+    TOY_CLASS_COUNT) float array of final class counts, one row per strategy
+    and last the ``ring`` row. The stream order is shuffled from
+    ``SeedSequence([seed, rep])``, and all strategies see the same order, so
+    their statistics are paired."""
     labels = np.repeat(np.arange(TOY_CLASS_COUNT), TOY_PER_CLASS)
-    counts = {s: np.zeros((repetitions, TOY_CLASS_COUNT)) for s in (*TOY_STRATEGIES, "ring")}
-    no_features = np.empty((labels.size, 0))
-    zero_losses = np.zeros(labels.size)
-    for rep in range(repetitions):
-        children = np.random.SeedSequence([seed, rep]).spawn(len(TOY_STRATEGIES) + 1)
-        order = np.random.default_rng(children[0]).permutation(labels.size)
-        stream = labels[order]
-        for strategy, child in zip(TOY_STRATEGIES, children[1:]):
-            rng = np.random.default_rng(child)
-            buf = ReplayBuffer(TOY_CAPACITY, strategy, TOY_CLASS_COUNT)
-            buf.update(no_features, stream, zero_losses, rng)
-            counts[strategy][rep] = np.bincount(buf.labels[:buf.n_filled],
-                                                minlength=TOY_CLASS_COUNT)
-        counts["ring"][rep] = fifo_class_counts(stream, TOY_CAPACITY, TOY_CLASS_COUNT)
+    children = np.random.SeedSequence([seed, rep]).spawn(len(TOY_STRATEGIES) + 1)
+    stream = labels[np.random.default_rng(children[0]).permutation(labels.size)]
+    no_features, zero_losses = np.empty((labels.size, 0)), np.zeros(labels.size)
+    counts = np.empty((len(TOY_STRATEGIES) + 1, TOY_CLASS_COUNT))
+    for row, (strategy, child) in enumerate(zip(TOY_STRATEGIES, children[1:])):
+        buf = ReplayBuffer(TOY_CAPACITY, strategy, TOY_CLASS_COUNT)
+        buf.update(no_features, stream, zero_losses, np.random.default_rng(child))
+        counts[row] = np.bincount(buf.labels[:buf.n_filled], minlength=TOY_CLASS_COUNT)
+    counts[-1] = fifo_class_counts(stream, TOY_CAPACITY, TOY_CLASS_COUNT)
     return counts
 
 

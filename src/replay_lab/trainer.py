@@ -8,7 +8,9 @@ the buffer at task boundaries and applied at evaluation time only.
 
 A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
-runs are reproducible and safe to execute in parallel, as ``run_many`` does.
+runs are reproducible and safe to execute in parallel. ``run_many`` splits a
+list of such runs, or of any other independent items (``balance-toy``'s
+repetitions, for one), over forked processes.
 """
 
 from __future__ import annotations
@@ -344,10 +346,10 @@ def run_joint_baseline(task_stream: TaskStream, config: TrainConfig) -> RunRepor
     return replace(report, method="joint")
 
 
-def process_count(n_runs: int) -> int:
-    """The number of processes ``run_many`` trains ``n_runs`` runs in.
+def process_count(n_items: int) -> int:
+    """The number of processes ``run_many`` splits ``n_items`` items over.
 
-    One per usable core, and at most one per run, when ``os.fork`` exists
+    One per usable core, and at most one per item, when ``os.fork`` exists
     and the environment pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``,
     or failing that ``OMP_NUM_THREADS``, is 1); otherwise 1. At the default
     thread count, two processes with a BLAS thread per core each ran several
@@ -360,47 +362,46 @@ def process_count(n_runs: int) -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(n_runs, cores))
+    return max(1, min(n_items, cores))
 
 
-def run_many(run, task_stream: TaskStream, configs) -> list[RunReport]:
-    """``[run(task_stream, c) for c in configs]``, trained in
-    ``process_count(len(configs))`` processes.
+def run_many(run, shared, items) -> list:
+    """``[run(shared, item) for item in items]``, computed in
+    ``process_count(len(items))`` processes.
 
-    With n processes, process k trains ``configs[k::n]``; the caller is
-    process 0. The others are forked, so they share the stream without
-    copying it, and each sends back its reports, or the exception that
-    stopped it, pickled over a pipe. The reports equal a serial loop's, and
-    the exception raised is the one a serial loop raises: that of the first
-    failing config in list order. A process that ends without sending its
-    result is a ``RuntimeError`` naming its exit status. Every forked process
-    is reaped before this returns or raises.
+    With n processes, process k computes ``items[k::n]``; the caller is
+    process 0. The others are forked, so they see ``shared`` (a task stream,
+    say) without copying it, and each sends back its results, or the
+    exception that stopped it, pickled over a pipe. The results equal a
+    serial loop's, and the exception raised is the one a serial loop raises:
+    that of the first failing item in list order. A process that ends without
+    sending its results is a ``RuntimeError`` naming its exit status. Every
+    forked process is reaped before this returns or raises.
     """
-    configs = list(configs)
-    n = process_count(len(configs))
+    items = list(items)
+    n = process_count(len(items))
     import signal   # not at module level: importing it adds about 1 ms to start-up
 
     sys.stdout.flush()
     sys.stderr.flush()
-    reports = [None] * len(configs)
-    failures = []   # (config index, exception, child traceback or None)
+    results = [None] * len(items)
+    failures = []   # (item index, exception, child traceback or None)
     children = []   # (pid, read end of its pipe) of each child not yet reaped
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_share_and_exit(run, task_stream, configs, range(k, len(configs), n),
-                                    write_fd)
+                _run_share_and_exit(run, shared, items, range(k, len(items), n), write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        for i in range(0, len(configs), n):
+        for i in range(0, len(items), n):
             try:
-                reports[i] = run(task_stream, configs[i])
+                results[i] = run(shared, items[i])
             except Exception as exc:
                 if i == 0:
                     raise   # first in list order; ``finally`` stops the children
-                # a child may still fail on an earlier config
+                # a child may still fail on an earlier item
                 failures.append((i, exc, None))
                 break
         for k in range(1, n):
@@ -411,10 +412,10 @@ def run_many(run, task_stream: TaskStream, configs) -> list[RunReport]:
             children.pop(0)
             if code != 0 or not blob:
                 raise RuntimeError(f"worker process {k} (pid {pid}) exited with status "
-                                   f"{code} without sending its runs")
+                                   f"{code} without sending its results")
             share, failure = pickle.loads(blob)
-            for i, report in zip(range(k, len(configs), n), share):
-                reports[i] = report
+            for i, result in zip(range(k, len(items), n), share):
+                results[i] = result
             if failure is not None:
                 failures.append(failure)
     finally:
@@ -427,13 +428,13 @@ def run_many(run, task_stream: TaskStream, configs) -> list[RunReport]:
         if child_traceback is None:
             raise exc
         raise exc from RuntimeError(f"in a worker process:\n{child_traceback}")
-    return reports
+    return results
 
 
-def _run_share_and_exit(run, task_stream: TaskStream, configs, indices, write_fd: int):
-    """Train ``configs[i]`` for each ``i`` of ``indices`` in a forked
-    process, up to the first failure, and write ``(reports, failure)`` to
-    ``write_fd``, where ``failure`` is ``(i, exception, its formatted
+def _run_share_and_exit(run, shared, items, indices, write_fd: int):
+    """Compute ``run(shared, items[i])`` for each ``i`` of ``indices`` in a
+    forked process, up to the first failure, and write ``(results, failure)``
+    to ``write_fd``, where ``failure`` is ``(i, exception, its formatted
     traceback)`` or None. Never returns: the process ends here, so it cannot
     go on into the caller's code, which may be a test runner."""
     code = 1
@@ -441,7 +442,7 @@ def _run_share_and_exit(run, task_stream: TaskStream, configs, indices, write_fd
         share, failure = [], None
         for i in indices:
             try:
-                share.append(run(task_stream, configs[i]))
+                share.append(run(shared, items[i]))
             except Exception as exc:
                 failure = (i, exc, "".join(traceback.format_exception(exc)))
                 break

@@ -272,14 +272,15 @@ class TestDeterminism:
         assert self.strip_wall_clock(out_a) == self.strip_wall_clock(out_b)
 
     @pytest.mark.parametrize("argv, owner, name", [
-        (["run", "--config", "{joint}"], cli, "run_joint_baseline"),
-        (["ablation", "--config", "{cfg}"], trainer, "run_class_il"),
-    ], ids=["joint", "ablation"])
+        (["run", "--config", "{joint}", "--seeds", "0,1"], cli, "run_joint_baseline"),
+        (["ablation", "--config", "{cfg}", "--seeds", "0,1"], trainer, "run_class_il"),
+        (["balance-toy", "--repetitions", "5", "--seed", "4"], cli, "balance_repetition"),
+    ], ids=["joint", "ablation", "balance-toy"])
     def test_forked_runs_write_the_serial_bytes(self, tmp_path, two_processes,
                                                 argv, owner, name):
         cfg = write_config(tmp_path)
         joint = write_config(tmp_path, tiny_config("method = joint\n"), "joint.cfg")
-        argv = [a.format(cfg=cfg, joint=joint) for a in argv] + ["--seeds", "0,1"]
+        argv = [a.format(cfg=cfg, joint=joint) for a in argv]
         outputs = []
         for out in (tmp_path / "serial", tmp_path / "forked"):
             if out.name == "forked":
@@ -287,10 +288,13 @@ class TestDeterminism:
             assert main(argv + ["--out", str(out)]) == 0
             if argv[0] == "run":
                 outputs.append(self.strip_wall_clock(out))
-            else:
+            elif argv[0] == "ablation":
                 report = (out / "ablation.json").read_text().splitlines()
                 outputs.append(((out / "ablation.csv").read_text(),
                                 [line for line in report if '"wall_clock_seconds"' not in line]))
+            else:
+                outputs.append(((out / "balance.csv").read_bytes(),
+                                (out / "balance.json").read_bytes()))
         assert outputs[0] == outputs[1]
         assert len(forks.forked) == 1 and len(forks.callers()) == 2
 
@@ -377,6 +381,12 @@ class TestCmdBalanceToy:
         counts = balance_toy(repetitions=60, seed=1)
         mse = {s: float(((m - 2.0) ** 2).mean()) for s, m in counts.items()}
         assert mse["brs"] < mse["reservoir"]
+
+    def test_no_repetitions_give_empty_matrices(self):
+        counts = balance_toy(repetitions=0, seed=2)
+        assert list(counts) == [*cli.TOY_STRATEGIES, "ring"]
+        for mat in counts.values():
+            assert mat.shape == (0, cli.TOY_CLASS_COUNT) and mat.dtype == np.float64
 
 
 def fifo_by_reference(labels, capacity, class_count):
@@ -692,6 +702,24 @@ class TestExitCodes:
         assert len(forks.forked) == 1 and len(forks.callers()) == 2
         assert not (out / "report.json").exists()
 
+    def test_balance_repetition_failing_in_a_forked_share_is_4_with_its_message(
+            self, tmp_path, monkeypatch, capsys, two_processes):
+        # repetition 1 fails, and only in the forked process
+        test_pid, repetition = os.getpid(), cli.balance_repetition
+
+        def fail_at_1(seed, rep):
+            if rep == 1 and os.getpid() != test_pid:
+                raise RuntimeError(f"repetition {rep} broke")
+            return repetition(seed, rep)
+        monkeypatch.setattr(cli, "balance_repetition", fail_at_1)
+        forks = two_processes(cli, "balance_repetition")
+        out = tmp_path / "o"
+        assert main(["balance-toy", "--repetitions", "4", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "in a worker process" in err and err.endswith("RuntimeError: repetition 1 broke\n")
+        assert len(forks.forked) == 1 and len(forks.callers()) == 2
+        assert not (out / "balance.json").exists()
+
     def test_forked_process_that_exits_without_its_runs_is_4(self, tmp_path, monkeypatch,
                                                               capsys, two_processes):
         test_pid = os.getpid()
@@ -706,7 +734,7 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert f"RuntimeError: worker process 1 (pid {forks.forked[0]}) exited with status 9 " \
-               "without sending its runs" in err
+               "without sending its results" in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("setting", [

@@ -31,12 +31,13 @@ failure message.
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from replay_lab import trainer
+from replay_lab import cli, trainer
 from replay_lab.cli import balance_toy, load_experiment_config
 from replay_lab.datasets import load_fashion_mnist, make_class_il_tasks, synthetic_class_il_stream
 from replay_lab.trainer import TrainConfig, run_class_il
@@ -239,7 +240,12 @@ def test_idx_image_report_digest_is_pinned(tmp_path, monkeypatch):
                                           TrainConfig(**BASE, **IDX_CONFIG)))
 
 
-def test_balance_toy_counts_are_pinned():
+@pytest.mark.parametrize("processes", [1, 2])
+def test_balance_toy_counts_are_pinned(monkeypatch, two_processes, processes):
+    if processes == 1:   # the BLAS thread variables are unset: nothing forks
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("balance-toy forked"))
+    else:
+        forks = two_processes(cli, "balance_repetition")
     h = hashlib.sha256()
     for strategy, counts in balance_toy(100, 0).items():
         h.update(strategy.encode())
@@ -247,6 +253,7 @@ def test_balance_toy_counts_are_pinned():
     assert h.hexdigest() == \
         "d2a6df9f4c1cbb397d91dc4b8a5d536e0381a17948fa7fbe490e5d73d17bf8f8", \
         f"balance-toy digest is {h.hexdigest()}"
+    assert processes == 1 or len(forks.callers()) == 2
 
 
 def test_default_config_hash_is_pinned():

@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -544,3 +545,20 @@ class TestProcessCount:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delattr(os, "fork", raising=False)
         assert process_count(12) == 1
+
+
+def scaled_with_pid(factor, item):
+    return factor * item, os.getpid()
+
+
+class TestRunMany:
+    """``run_many`` maps any function over any items, not only training runs."""
+
+    def test_odd_split_over_two_processes_keeps_item_order(self, two_processes):
+        forks = two_processes(sys.modules[__name__], "scaled_with_pid")
+        results = trainer.run_many(scaled_with_pid, 10, range(5))
+        assert [value for value, _ in results] == [0, 10, 20, 30, 40]
+        pids = [pid for _, pid in results]
+        # this process takes items 0, 2 and 4, the forked one 1 and 3
+        assert pids[0::2] == [os.getpid()] * 3 and pids[1::2] == forks.forked * 2
+        assert len(forks.forked) == 1
