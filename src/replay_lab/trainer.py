@@ -10,7 +10,8 @@ A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
 runs are reproducible and safe to execute in parallel. ``run_many`` splits a
 list of such runs, or of any other independent items (``balance-toy``'s
-repetitions, for one), over forked processes.
+repetitions, for one), over forked processes: one per usable core, or one
+per item where the items outnumber the cores by at most half.
 """
 
 from __future__ import annotations
@@ -349,11 +350,16 @@ def run_joint_baseline(task_stream: TaskStream, config: TrainConfig) -> RunRepor
 def process_count(n_items: int) -> int:
     """The number of processes ``run_many`` splits ``n_items`` items over.
 
-    One per usable core, and at most one per item, when ``os.fork`` exists
-    and the environment pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``,
-    or failing that ``OMP_NUM_THREADS``, is 1); otherwise 1. At the default
-    thread count, two processes with a BLAS thread per core each ran several
-    times slower than one (README, "Parallel runs").
+    When ``os.fork`` exists and the environment pins OpenBLAS to one thread
+    (``OPENBLAS_NUM_THREADS``, or failing that ``OMP_NUM_THREADS``, is 1):
+    one process per item if the items outnumber the usable cores by at most
+    half (``cores < n_items <= cores + cores // 2``), else one per usable
+    core and at most one per item. Otherwise 1. Time-sharing three runs on
+    two cores cost up to about 10% more CPU than two processes, so a process
+    per item is taken only where ``min(n_items, cores)`` would leave at least
+    a quarter of the core-time idle. At the default thread count, two
+    processes with a BLAS thread per core each ran several times slower than
+    one (README, "Parallel runs").
     """
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     if not hasattr(os, "fork") or (threads or "").strip() != "1":
@@ -362,6 +368,8 @@ def process_count(n_items: int) -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         cores = os.cpu_count() or 1
+    if cores < n_items <= cores + cores // 2:
+        return n_items
     return max(1, min(n_items, cores))
 
 
@@ -372,11 +380,13 @@ def run_many(run, shared, items) -> list:
     With n processes, process k computes ``items[k::n]``; the caller is
     process 0. The others are forked, so they see ``shared`` (a task stream,
     say) without copying it, and each sends back its results, or the
-    exception that stopped it, pickled over a pipe. The results equal a
-    serial loop's, and the exception raised is the one a serial loop raises:
-    that of the first failing item in list order. A process that ends without
-    sending its results is a ``RuntimeError`` naming its exit status. Every
-    forked process is reaped before this returns or raises.
+    exception that stopped it, pickled over a pipe. Three items on two cores
+    take three processes, one item each, which time-share the cores. The
+    results equal a serial loop's, and the exception raised is the one a
+    serial loop raises: that of the first failing item in list order. A
+    process that ends without sending its results is a ``RuntimeError``
+    naming its exit status. Every forked process is reaped before this
+    returns or raises.
     """
     items = list(items)
     n = process_count(len(items))

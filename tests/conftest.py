@@ -8,15 +8,17 @@ import pytest
 
 @pytest.fixture
 def two_processes(monkeypatch, tmp_path):
-    """Switch ``trainer.run_many`` from serial to two forked processes.
+    """Switch ``trainer.run_many`` from serial to forked processes on two
+    usable cores.
 
     The BLAS thread variables are unset first, so runs are serial until the
     returned ``enable(owner, name)`` is called. From then on
     ``OPENBLAS_NUM_THREADS`` is 1 and two cores are usable, so ``run_many``
-    forks. ``enable`` returns a log: ``forked`` lists the pids forked by this
-    process, and ``callers()`` the pids that called ``owner.name``, which
-    it wraps. After the test no child process may be left, running or not
-    reaped.
+    forks: three items take three processes, two or four and more take two
+    (``trainer.process_count``). ``enable`` returns a log: ``forked`` lists
+    the pids forked by this process, and ``callers()`` the pids that called
+    ``owner.name``, which it wraps. After the test no child process may be
+    left, running or not reaped.
     """
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

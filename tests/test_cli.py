@@ -271,13 +271,15 @@ class TestDeterminism:
               "--out", str(out_b)])
         assert self.strip_wall_clock(out_a) == self.strip_wall_clock(out_b)
 
-    @pytest.mark.parametrize("argv, owner, name", [
-        (["run", "--config", "{joint}", "--seeds", "0,1"], cli, "run_joint_baseline"),
-        (["ablation", "--config", "{cfg}", "--seeds", "0,1"], trainer, "run_class_il"),
-        (["balance-toy", "--repetitions", "5", "--seed", "4"], cli, "balance_repetition"),
-    ], ids=["joint", "ablation", "balance-toy"])
+    @pytest.mark.parametrize("argv, owner, name, processes", [
+        (["run", "--config", "{joint}", "--seeds", "0,1"], cli, "run_joint_baseline", 2),
+        (["run", "--config", "{cfg}", "--seeds", "0,1,2"], cli, "run_class_il", 3),
+        (["ablation", "--config", "{cfg}", "--seeds", "0,1"], trainer, "run_class_il", 2),
+        (["balance-toy", "--repetitions", "5", "--seed", "4"], cli, "balance_repetition", 2),
+        (["balance-toy", "--repetitions", "3", "--seed", "4"], cli, "balance_repetition", 3),
+    ], ids=["joint", "three-seeds", "ablation", "balance-toy", "three-repetitions"])
     def test_forked_runs_write_the_serial_bytes(self, tmp_path, two_processes,
-                                                argv, owner, name):
+                                                argv, owner, name, processes):
         cfg = write_config(tmp_path)
         joint = write_config(tmp_path, tiny_config("method = joint\n"), "joint.cfg")
         argv = [a.format(cfg=cfg, joint=joint) for a in argv]
@@ -296,7 +298,7 @@ class TestDeterminism:
                 outputs.append(((out / "balance.csv").read_bytes(),
                                 (out / "balance.json").read_bytes()))
         assert outputs[0] == outputs[1]
-        assert len(forks.forked) == 1 and len(forks.callers()) == 2
+        assert len(forks.forked) == processes - 1 and len(forks.callers()) == processes
 
 
 class TestCmdAblation:
@@ -677,12 +679,18 @@ class TestExitCodes:
         assert "Traceback" in err and "RuntimeError: training broke" in err
         assert processes == 1 or len(forks.forked) == 1
 
-    @pytest.mark.parametrize("seeds", ["0,1", "0,1,2"])
+    @pytest.mark.parametrize("seeds, processes", [
+        pytest.param("0,1", 2, id="0,1"),
+        pytest.param("0,1,2", 3, id="0,1,2"),
+        pytest.param("0,1,2,3,4", 2, id="0,1,2,3,4"),
+    ])
     @pytest.mark.parametrize("error", [FloatingPointError, RuntimeError])
     def test_failure_in_a_forked_share_is_4_with_that_runs_message(
-            self, tmp_path, monkeypatch, capsys, two_processes, seeds, error):
-        # seed 1 fails, and only in a forked process; with seeds 0,1,2 seed 2
-        # fails in this process too, but a serial loop would stop at seed 1
+            self, tmp_path, monkeypatch, capsys, two_processes, seeds, processes, error):
+        # seed 1 fails, and only in a forked process. Seed 2 fails too: in a
+        # process of its own with seeds 0,1,2, and with seeds 0,1,2,3,4 in
+        # this process, which stops there while the forked one fails on the
+        # earlier seed 1. A serial loop would stop at seed 1.
         test_pid, run = os.getpid(), cli.run_class_il
 
         def fail_from_seed_1(stream, config):
@@ -699,7 +707,7 @@ class TestExitCodes:
             assert err == "runtime error: seed 1 broke\n"
         else:
             assert "in a worker process" in err and err.endswith("RuntimeError: seed 1 broke\n")
-        assert len(forks.forked) == 1 and len(forks.callers()) == 2
+        assert len(forks.forked) == processes - 1 and len(forks.callers()) == processes
         assert not (out / "report.json").exists()
 
     def test_balance_repetition_failing_in_a_forked_share_is_4_with_its_message(

@@ -511,28 +511,39 @@ class TestAblationSuite:
 class TestProcessCount:
     """Runs fork only where BLAS is pinned to one thread: two processes at
     the default thread count oversubscribe the cores (README, "Parallel
-    runs"). Checked without forking."""
+    runs"). Items that outnumber the cores by at most half get a process
+    each. Checked without forking."""
 
     @pytest.fixture(autouse=True)
-    def four_cores(self, monkeypatch):
+    def unpinned(self, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
-    @pytest.mark.parametrize("env, runs, want", [
-        ({}, 12, 1),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 12, 1),
-        ({"OMP_NUM_THREADS": "2"}, 12, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 12, 4),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        ({"OMP_NUM_THREADS": "1"}, 12, 4),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 12, 1),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 12, 4),
+    @pytest.mark.parametrize("env, cores, runs, want", [
+        ({}, 4, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 12, 1),
+        ({"OMP_NUM_THREADS": "2"}, 4, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 12, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 12, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 4, 12, 4),
+        # up to one and a half items per core, each item its own process
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 5, 5),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 6, 6),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 7, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 3, 1),
     ])
-    def test_rule(self, monkeypatch, env, runs, want):
+    def test_rule(self, monkeypatch, env, cores, runs, want):
         for var, value in env.items():
             monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
         assert process_count(runs) == want
 
     def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch):
@@ -562,3 +573,10 @@ class TestRunMany:
         # this process takes items 0, 2 and 4, the forked one 1 and 3
         assert pids[0::2] == [os.getpid()] * 3 and pids[1::2] == forks.forked * 2
         assert len(forks.forked) == 1
+
+    def test_three_items_on_two_cores_take_a_process_each(self, two_processes):
+        forks = two_processes(sys.modules[__name__], "scaled_with_pid")
+        results = trainer.run_many(scaled_with_pid, 10, range(3))
+        assert [value for value, _ in results] == [0, 10, 20]
+        assert [pid for _, pid in results] == [os.getpid()] + forks.forked
+        assert len(forks.forked) == 2
