@@ -10,8 +10,9 @@ A run is a sequential state machine owning its model, buffer, and a set of
 named random streams derived from the run seed, so independent (config, seed)
 runs are reproducible and safe to execute in parallel. ``run_many`` splits a
 list of such runs, or of any other independent items (``balance-toy``'s
-repetitions, for one), over forked processes: one per usable core, or one
-per item where the items outnumber the cores by at most half.
+repetitions, for one), over processes: where BLAS is pinned to one thread, one
+per usable core, or one per item where the items outnumber the cores by at
+most half. Every process, the caller first, computes its share in one function.
 """
 
 from __future__ import annotations
@@ -352,9 +353,9 @@ def process_count(n_items: int) -> int:
 
     When ``os.fork`` exists and the environment pins OpenBLAS to one thread
     (``OPENBLAS_NUM_THREADS``, or failing that ``OMP_NUM_THREADS``, is 1):
-    one process per item if the items outnumber the usable cores by at most
-    half (``cores < n_items <= cores + cores // 2``), else one per usable
-    core and at most one per item. Otherwise 1. Time-sharing three runs on
+    one process per item if the items number at most one and a half per
+    usable core (``n_items <= cores + cores // 2``; 1 if there are none),
+    else one per usable core. Otherwise 1. Time-sharing three runs on
     two cores cost up to about 10% more CPU than two processes, so a process
     per item is taken only where ``min(n_items, cores)`` would leave at least
     a quarter of the core-time idle. At the default thread count, two
@@ -368,25 +369,24 @@ def process_count(n_items: int) -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         cores = os.cpu_count() or 1
-    if cores < n_items <= cores + cores // 2:
-        return n_items
-    return max(1, min(n_items, cores))
+    return max(1, n_items if n_items <= cores + cores // 2 else cores)
 
 
 def run_many(run, shared, items) -> list:
     """``[run(shared, item) for item in items]``, computed in
     ``process_count(len(items))`` processes.
 
-    With n processes, process k computes ``items[k::n]``; the caller is
-    process 0. The others are forked, so they see ``shared`` (a task stream,
-    say) without copying it, and each sends back its results, or the
-    exception that stopped it, pickled over a pipe. Three items on two cores
-    take three processes, one item each, which time-share the cores. The
-    results equal a serial loop's, and the exception raised is the one a
-    serial loop raises: that of the first failing item in list order. A
-    process that ends without sending its results is a ``RuntimeError``
-    naming its exit status. Every forked process is reaped before this
-    returns or raises.
+    With n processes, process k computes ``_run_share`` of ``items[k::n]``;
+    the caller is process 0. The others are forked, so they see ``shared``
+    (a task stream, say) without copying it, and each sends back its share's
+    results and failure, pickled over a pipe. Three items on two cores take
+    three processes, one item each, which time-share the cores. The results
+    equal a serial loop's, and the exception raised is the one a serial loop
+    raises: that of the first failing item in list order, from a
+    ``RuntimeError`` holding its traceback if a forked process raised it. A
+    process that ends without sending its share is a ``RuntimeError`` naming
+    its exit status. Every forked process is reaped before this returns or
+    raises.
     """
     items = list(items)
     n = process_count(len(items))
@@ -394,26 +394,24 @@ def run_many(run, shared, items) -> list:
 
     sys.stdout.flush()
     sys.stderr.flush()
-    results = [None] * len(items)
-    failures = []   # (item index, exception, child traceback or None)
     children = []   # (pid, read end of its pipe) of each child not yet reaped
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
-            if pid == 0:
-                _run_share_and_exit(run, shared, items, range(k, len(items), n), write_fd)
+            if pid == 0:   # never returns: exits 0 once its pickled share is written, else 1
+                try:
+                    blob = pickle.dumps(_run_share(run, shared, items[k::n]))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(blob)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        for i in range(0, len(items), n):
-            try:
-                results[i] = run(shared, items[i])
-            except Exception as exc:
-                if i == 0:
-                    raise   # first in list order; ``finally`` stops the children
-                # a child may still fail on an earlier item
-                failures.append((i, exc, None))
-                break
+        shares = [_run_share(run, shared, items[0::n])]
+        if shares[0][1] is not None and shares[0][1][0] == 0:
+            raise shares[0][1][1]   # item 0 comes first; ``finally`` stops the children
         for k in range(1, n):
             pid, pipe = children[0]
             with pipe:
@@ -423,44 +421,31 @@ def run_many(run, shared, items) -> list:
             if code != 0 or not blob:
                 raise RuntimeError(f"worker process {k} (pid {pid}) exited with status "
                                    f"{code} without sending its results")
-            share, failure = pickle.loads(blob)
-            for i, result in zip(range(k, len(items), n), share):
-                results[i] = result
-            if failure is not None:
-                failures.append(failure)
+            shares.append(pickle.loads(blob))
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGTERM)
             os.waitpid(pid, 0)
+    failures = [(f[0] * n + k, f) for k, (_, f) in enumerate(shares) if f is not None]
     if failures:
-        _, exc, child_traceback = min(failures, key=lambda f: f[0])
-        if child_traceback is None:
-            raise exc
-        raise exc from RuntimeError(f"in a worker process:\n{child_traceback}")
-    return results
+        i, (_, exc, formatted) = min(failures, key=lambda f: f[0])
+        if i % n == 0:
+            raise exc   # the caller's own
+        raise exc from RuntimeError(f"in a worker process:\n{formatted}")
+    return [shares[i % n][0][i // n] for i in range(len(items))]
 
 
-def _run_share_and_exit(run, shared, items, indices, write_fd: int):
-    """Compute ``run(shared, items[i])`` for each ``i`` of ``indices`` in a
-    forked process, up to the first failure, and write ``(results, failure)``
-    to ``write_fd``, where ``failure`` is ``(i, exception, its formatted
-    traceback)`` or None. Never returns: the process ends here, so it cannot
-    go on into the caller's code, which may be a test runner."""
-    code = 1
-    try:
-        share, failure = [], None
-        for i in indices:
-            try:
-                share.append(run(shared, items[i]))
-            except Exception as exc:
-                failure = (i, exc, "".join(traceback.format_exception(exc)))
-                break
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps((share, failure)))
-        code = 0
-    finally:
-        os._exit(code)
+def _run_share(run, shared, share) -> tuple[list, tuple | None]:
+    """``[run(shared, item) for item in share]`` up to the first failure, as ``(results,
+    failure)``: ``failure`` is None or ``(offset in share, exception, formatted traceback)``."""
+    results = []
+    for offset, item in enumerate(share):
+        try:
+            results.append(run(shared, item))
+        except Exception as exc:
+            return results, (offset, exc, "".join(traceback.format_exception(exc)))
+    return results, None
 
 
 @dataclass

@@ -538,6 +538,9 @@ class TestProcessCount:
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 5, 2),
         ({"OPENBLAS_NUM_THREADS": "1"}, 1, 2, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 1, 3, 1),
+        # no items still take one process, which computes nothing
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 0, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0, 1),
     ])
     def test_rule(self, monkeypatch, env, cores, runs, want):
         for var, value in env.items():
@@ -562,6 +565,16 @@ def scaled_with_pid(factor, item):
     return factor * item, os.getpid()
 
 
+def fail_at_2_and_3(shared, item):
+    if item in (2, 3):
+        raise ValueError(f"item {item} broke")
+    return item
+
+
+def unpicklable(shared, item):
+    return lambda: item
+
+
 class TestRunMany:
     """``run_many`` maps any function over any items, not only training runs."""
 
@@ -580,3 +593,24 @@ class TestRunMany:
         assert [value for value, _ in results] == [0, 10, 20]
         assert [pid for _, pid in results] == [os.getpid()] + forks.forked
         assert len(forks.forked) == 2
+
+    def test_caller_failing_first_raises_its_own_exception(self, two_processes):
+        # this process takes items 0, 2 and 4 and fails at 2; the forked one
+        # fails at 3, later in list order
+        forks = two_processes(sys.modules[__name__], "fail_at_2_and_3")
+        with pytest.raises(ValueError, match="^item 2 broke$") as raised:
+            trainer.run_many(fail_at_2_and_3, None, range(5))
+        assert raised.value.__cause__ is None
+        assert len(forks.forked) == 1 and len(forks.callers()) == 2
+
+    def test_unpicklable_forked_result_is_a_runtime_error(self, two_processes):
+        forks = two_processes(sys.modules[__name__], "unpicklable")
+        with pytest.raises(RuntimeError) as raised:
+            trainer.run_many(unpicklable, None, range(2))
+        assert str(raised.value) == (f"worker process 1 (pid {forks.forked[0]}) exited "
+                                     "with status 1 without sending its results")
+
+    def test_no_items_fork_nothing(self, two_processes):
+        forks = two_processes(sys.modules[__name__], "scaled_with_pid")
+        assert trainer.run_many(scaled_with_pid, 10, []) == []
+        assert forks.forked == []
