@@ -77,7 +77,8 @@ def _fit_shifts(model: Mlp, buffer: ReplayBuffer, col: np.ndarray) -> tuple[np.n
         return np.zeros(0), {"ce_before": None, "ce_after": None,
                              "grad_max_norm": 0.0, "iterations": 0}
     feats, labels = buffer.as_arrays()
-    logits, _ = model.forward(feats)
+    # the model's float32 logits, cast so that GRAD_TOL bounds a float64 fit
+    logits = model.forward(feats)[0].astype(np.float64)
     n = logits.shape[0]
     free = np.stack([np.logaddexp.reduce(logits[:, col == j], axis=1)
                      for j in range(n_groups)], axis=1)

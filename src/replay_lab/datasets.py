@@ -38,8 +38,8 @@ class IdxFormatError(ValueError):
 @dataclass
 class Dataset:
     """Feature matrix with integer labels below ``class_count``. Features
-    are uint8 pixels, kept as they are and read as k / 255 by
-    ``Mlp.forward``, or floats in [0, 1]; any other dtype is cast to float."""
+    are uint8 pixels, kept as they are and read as float32(k) / float32(255)
+    by ``Mlp.forward``, or floats in [0, 1]; any other dtype is cast to float."""
 
     features: np.ndarray
     labels: np.ndarray

@@ -1,9 +1,10 @@
 """From-scratch fully-connected ReLU network with a linear classification
 head, softmax cross-entropy, exact analytic gradients, and plain SGD.
 
-Everything is float64 numpy, except that ``forward`` also takes uint8
-pixels, which it reads as k / 255; there is no momentum, weight decay, or
-dropout.
+The network computes in float32: parameters, gradients, activations and
+the ``dlogits`` that ``backward`` takes. ``forward`` also takes uint8
+pixels, which it reads as float32(k) / float32(255). The loss is float64,
+on logits cast up. There is no momentum, weight decay, or dropout.
 ``backward`` writes the gradients of one batch into preallocated slots,
 overwriting what was there, and ``sgd_step`` applies them.
 """
@@ -28,9 +29,11 @@ class Mlp:
     is a single affine map. Weights are drawn zero-mean with He-style
     fan-in scaling sqrt(2 / fan_in); biases start at zero.
 
-    The parameters are one float64 vector ``params`` and the gradients one
+    The parameters are one float32 vector ``params`` and the gradients one
     ``grads``; ``weights``, ``biases``, ``weight_grads`` and ``bias_grads``
-    are tuples of views into them (layout: ``_layer_views``).
+    are tuples of views into them (layout: ``_layer_views``). ``forward``
+    and ``backward`` compute in the dtype of ``params``, so the float64
+    copy that ``float64_copy`` makes computes in float64.
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator):
@@ -40,7 +43,8 @@ class Mlp:
         if any(d <= 0 for d in dims):
             raise ValueError(f"all layer dims must be positive, got {dims}")
         size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-        self.__setstate__({"layer_dims": dims, "params": np.zeros(size), "grads": np.zeros(size)})
+        self.__setstate__({"layer_dims": dims, "params": np.zeros(size, np.float32),
+                           "grads": np.zeros(size, np.float32)})
         for w in self.weights:
             w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
@@ -57,13 +61,15 @@ class Mlp:
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Compute logits for a (batch, input_dim) matrix.
 
-        uint8 inputs are pixels: each k is read as the float k / 255.0, the
-        one place where image data is scaled. Other inputs are cast to float.
+        uint8 inputs are pixels: each k is read as float32(k) / float32(255),
+        the one place where image data is scaled. Other inputs are cast to
+        float32 (to the dtype of ``params``, in general).
         Returns the logits and a cache of pre- and post-activation values
         needed by ``backward``. Pure: no model state is touched.
         """
+        dtype = self.params.dtype
         x = np.atleast_2d(np.asarray(inputs))
-        x = x / 255.0 if x.dtype == np.uint8 else x.astype(float, copy=False)
+        x = x / dtype.type(255) if x.dtype == np.uint8 else x.astype(dtype, copy=False)
         if x.shape[1] != self.layer_dims[0]:
             raise ValueError(
                 f"input dim {x.shape[1]} does not match layer_dims[0]={self.layer_dims[0]}")
@@ -82,12 +88,12 @@ class Mlp:
         the gradient slots, replacing their previous contents.
 
         ``dlogits`` is the loss gradient at the logits (already divided by
-        the batch size when the loss is a batch mean). ReLU backward masks
-        non-positive pre-activations.
+        the batch size when the loss is a batch mean); it is cast to the
+        dtype of ``params``. ReLU backward masks non-positive pre-activations.
         """
         if cache is None or "activations" not in cache:
             raise ValueError("backward needs the cache returned by forward")
-        dlogits = np.asarray(dlogits, dtype=float)
+        dlogits = np.asarray(dlogits, dtype=self.params.dtype)
         if dlogits.shape != (cache["batch"], self.layer_dims[-1]):
             raise ValueError("dlogits shape does not match the cached forward batch")
         activations, pres = cache["activations"], cache["pres"]
@@ -104,6 +110,16 @@ class Mlp:
         if learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
         self.params -= learning_rate * self.grads
+
+
+def float64_copy(model: Mlp) -> Mlp:
+    """A deep copy of ``model``, of the same class, whose ``params`` and
+    ``grads`` are float64, so that its ``forward`` and ``backward`` compute
+    in float64."""
+    work = deepcopy(model)
+    work.__setstate__({"params": work.params.astype(np.float64),
+                       "grads": work.grads.astype(np.float64)})
+    return work
 
 
 def _layer_views(vec: np.ndarray, dims: list[int]) -> tuple[tuple, tuple]:
@@ -154,18 +170,20 @@ def softmax_cross_entropy(logits: np.ndarray,
 def gradient_check(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> tuple[bool, float]:
     """Compare the gradients of ``model.backward`` against central
     differences (step ``FD_STEP``) of the mean cross-entropy loss, both on
-    one deep copy, which keeps the subclass and so an overridden ``backward``.
+    one ``float64_copy``, which keeps the subclass and so an overridden
+    ``backward``. Every perturbed value is read from that copy, so that
+    ``value + FD_STEP`` is a float64 sum; ``model`` is not touched.
 
     Returns (every component passes, worst residual ratio
     |a - n| / (GRADCHECK_ABS_FLOOR + GRADCHECK_REL_TOL * |n|)); a component
     passes when its ratio is at most 1.
     """
-    work = deepcopy(model)
+    work = float64_copy(model)
     logits, cache = work.forward(inputs)
     _, _, dlogits = softmax_cross_entropy(logits, labels)
     work.backward(cache, dlogits)
     numeric = np.empty_like(work.params)
-    for i, value in enumerate(model.params):
+    for i, value in enumerate(work.params):
         work.params[i] = value + FD_STEP
         up, _, _ = softmax_cross_entropy(work.forward(inputs)[0], labels)
         work.params[i] = value - FD_STEP

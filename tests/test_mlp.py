@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from replay_lab.mlp import Mlp, softmax, softmax_cross_entropy
+from replay_lab.mlp import Mlp, float64_copy, gradient_check, softmax, softmax_cross_entropy
 
 
 def tiny_model(dims, seed=0):
@@ -58,8 +58,9 @@ class TestForward:
                                    atol=1e-15)
 
     def test_matches_independent_straight_line_evaluation(self):
-        # Re-evaluate the network with plain per-example, per-unit loops.
-        model = tiny_model([4, 5, 3, 2], seed=8)
+        # Re-evaluate the network with plain per-example, per-unit loops, in
+        # float64 on a float64 copy, so float32 rounding does not blur it.
+        model = float64_copy(tiny_model([4, 5, 3, 2], seed=8))
         x = np.random.default_rng(1).uniform(size=(6, 4))
         logits, _ = model.forward(x)
         for r in range(x.shape[0]):
@@ -94,7 +95,7 @@ class TestForward:
         pixels[0, :2] = [0, 255]
         logits, cache = model.forward(pixels)
         ref_logits, ref_cache = model.forward(pixels / 255.0)
-        assert cache["activations"][0].dtype == np.float64
+        assert cache["activations"][0].dtype == np.float32
         assert cache["activations"][0].tobytes() == ref_cache["activations"][0].tobytes()
         assert logits.tobytes() == ref_logits.tobytes()
         dlogits = np.random.default_rng(4).normal(size=logits.shape)
@@ -105,10 +106,60 @@ class TestForward:
 
     def test_float_inputs_pass_through_unscaled(self):
         model = tiny_model([6, 2], seed=6)
-        x = np.random.default_rng(5).integers(0, 256, size=(3, 6)).astype(float)
+        x = np.random.default_rng(5).integers(0, 256, size=(3, 6)).astype(np.float32)
         logits, cache = model.forward(x)
         assert cache["activations"][0] is x
         np.testing.assert_array_equal(logits, x @ model.weights[0] + model.biases[0])
+        logits, cache = model.forward(x.astype(np.float64))
+        assert cache["activations"][0].tobytes() == x.tobytes()
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+    def test_everything_is_float32_whatever_the_input(self, dtype):
+        model = tiny_model([6, 5, 4, 3], seed=2)
+        x = np.random.default_rng(6).integers(0, 256, size=(4, 6)).astype(dtype)
+        logits, cache = model.forward(x)
+        _, _, dlogits = softmax_cross_entropy(logits, [0, 1, 2, 0])
+        model.backward(cache, dlogits.astype(np.float32))
+        grads = model.grads.copy()
+        model.backward(cache, dlogits)   # float64 dlogits are read as float32
+        assert model.grads.tobytes() == grads.tobytes()
+        arrays = [model.params, model.grads, logits, *cache["activations"], *cache["pres"],
+                  *model.weights, *model.biases, *model.weight_grads, *model.bias_grads]
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+
+    def test_every_pixel_value_is_float32_k_over_float32_255(self):
+        model = tiny_model([256, 2], seed=3)
+        pixels = np.arange(256, dtype=np.uint8)[None, :]
+        _, cache = model.forward(pixels)
+        expected = np.array([np.float32(k) / np.float32(255) for k in range(256)])
+        assert cache["activations"][0].tobytes() == expected.tobytes()
+        # so a float64 k / 255 from the IDX parser reads the same
+        assert (np.arange(256) / 255.0).astype(np.float32).tobytes() == expected.tobytes()
+
+    def test_float64_copy_computes_in_float64_and_shares_nothing(self):
+        model = tiny_model([4, 3, 2], seed=4)
+        work = float64_copy(model)
+        assert work.params.dtype == work.grads.dtype == np.float64
+        np.testing.assert_array_equal(work.params, model.params)
+        assert all(np.shares_memory(v, work.params) for v in work.weights + work.biases)
+        assert all(np.shares_memory(v, work.grads) for v in work.weight_grads + work.bias_grads)
+        assert not np.shares_memory(work.params, model.params)
+        logits, cache = work.forward(np.random.default_rng(7).uniform(size=(3, 4)))
+        assert logits.dtype == cache["activations"][0].dtype == np.float64
+
+    def test_gradient_check_works_on_a_float64_copy(self):
+        # Reading the perturbed value from the float32 params would make
+        # value + FD_STEP a float32 sum (NEP 50) and the check fail.
+        rng = np.random.default_rng(11)
+        model = tiny_model([6, 2], seed=11)
+        x = rng.uniform(size=(4, 6))
+        y = rng.integers(0, 2, size=4)
+        before = model.params.tobytes()
+        assert gradient_check(model, x, y) == gradient_check(float64_copy(model), x, y)
+        assert gradient_check(model, x, y)[0]
+        assert model.params.dtype == np.float32 and model.params.tobytes() == before
 
 
 class TestSoftmaxCrossEntropy:

@@ -5,14 +5,16 @@ report (canonical JSON, ``wall_clock_seconds`` dropped). A refactor that
 keeps the random draws, their order and every float operation leaves the
 digests unchanged; a change that moves any number must update the table and
 say which outputs moved and why. The digests were recorded with numpy 2.4
-on OpenBLAS; another BLAS build may round matrix products differently.
+on OpenBLAS, with the MLP in float32; another BLAS build may round matrix
+products differently.
 
 A second table hashes the same JSON with every float rounded to ten
 significant digits. A change that only reorders float summation moves the
 exact digests but not the rounded ones, so the pair tells "only rounding
-moved" apart from "a number moved". Two more tables keep the exact digests
-from before a report key and a configuration key were removed, and check
-that the report with the keys put back still hashes to them.
+moved" apart from "a number moved". Two more tables hash the report with a
+removed report key and a removed configuration key put back. When the keys
+were removed, these were the digests from before, so dropping them moved no
+number; they were re-pinned when the MLP moved from float64 to float32.
 
 A fourth table pins what no report holds, the run's final state: the bytes
 of the buffer's labels, stored losses and stored features, and of the
@@ -27,12 +29,18 @@ Two more pins cover what no report reaches: the count matrices of the
 buffer-balance study and the hash of the default configuration. A failing
 pin prints the digest it got, so a re-pin reads the new value from the
 failure message.
+
+The last test runs the CLI at one and at two OpenBLAS threads and checks
+that the outputs are the same bytes, apart from the wall-clock times.
 """
 
 import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,85 +70,86 @@ IDX_CONFIG = dict(iba=True, bic=True, elrd=True, aug_stream_enabled=True, aug_ma
 
 DIGESTS = {
     "reservoir":
-        "4ad71c9eafedf7def6981c8f02076978a6ebef95b3045399432488ac592b314a",
+        "1fd281a993c7be0b7484eb2b7493e466d2fdd3c8655777e3b7fdb9076ed4b230",
     "brs-cbic":
-        "08a4546adeef2cd17c884e67114344256cb548aec2e7254ff33a916efcd6e436",
+        "c5c6a526e170080db8a048bdad17041c702195cf43269246b7f33c42bcbd2670",
     "sgd-cbic":
-        "f577b7509857f7c375a21803b305486ac3be481433b046ed40dae20eec57d760",
+        "97e5b4b3a0be96a1d27f5440d4989127fa183da8bed08ecdd93435aa60f0a31a",
     "lars-bic-elrd":
-        "b3ac7376339f1e6d3096cedcf311a0341537913b590f255ac2e1c01724ef1709",
+        "281bb107bb4c2332dc5227fd17b342324490ba9c769b84bbfbe1dfec6c1ca733",
     "iba-stream-aug":
-        "09ff6326ae4d32298a907de356c0fddd578c954b756f652145fff777c7480ba1",
+        "54bc757adf6481faed996a424b3cd528314ba17eff006f453702da628283b1a0",
     IDX_CASE:
-        "968e71934ec0c460b08f281d18202a23e686a5f3d7517de8038f6ea2736df443",
+        "52239359af071ab3c4ebd9cbd3188e44efb0fcc7830738dbea103deb70fc794e",
 }
 
 ROUNDED_DIGESTS = {
     "reservoir":
-        "aa3f6ced1045042bac9193020e993cb5b3b8f7529d756834f97af00ac21f22a5",
+        "a4d2f6485aa9f89f3fcb004bfcfda4bbcf51eff1bed1b7b08643f9823a150e7f",
     "brs-cbic":
-        "e70a3e634cccd9a18a43974597e65ceffcb9578f09fd5c3209f2108ba0f17409",
+        "982d7d33a4a3f9fb4066709c09f07aa9ef5cf30e1a928acb6d4a4b4c8bf08322",
     "sgd-cbic":
-        "1b8382139bea10a16ef8f5aac6d7407778f726667c2eafda588c5b0381180e15",
+        "ec3350c2ae30230ea02a1db2c1c59b99755c40bbfcf68f8be00a0ff0075d26ce",
     "lars-bic-elrd":
-        "75690a172a6b70aef69ff96a0addd874dff37141814c6048e7f588c78d781a68",
+        "24d3a56f676fb3c04b03551decb14239fb2db6304fc62798918f63c1eb142b90",
     "iba-stream-aug":
-        "b7fb937926e18bbcff3acc49305b36062fe4bf37fcf242aadc92e277d7e2508c",
+        "c38c541bb731476d800654aca1fb18a363bf4f70a7bc006e4cb27e7a8150b547",
     IDX_CASE:
-        "9e361271a377feab6022b965e638ac5518e49c13841f50470c6a5bab449f8187",
+        "18a5c2298a222741ced08ba80f5a16c4b6a3f0efcc6e42aa6ce625643989f220",
 }
 
-# The exact digests from before ``buffer_slot_audit`` left the report. A
-# report with the dump rebuilt from the final buffer, one [slot, label, loss]
-# triple per filled slot, must hash to them: dropping the key moved no number.
+# The exact digests of the report with ``buffer_slot_audit`` put back: the
+# dump rebuilt from the final buffer, one [slot, label, loss] triple per
+# filled slot. Before the float32 re-pin, these were the digests from before
+# the key left the report, so dropping it moved no number.
 DIGESTS_WITH_SLOT_AUDIT = {
     "reservoir":
-        "28555db2719b137543cb0d30274ef0b973378d19fa810688329851092df481ff",
+        "3cea39c341cf7503eaeaa00895b4af0373c64b351ec2378f7dc4e036b2bd739e",
     "brs-cbic":
-        "90fea93abfc2a047b57af53394573fe7c9ffb9e0206bf2d85e076617841e701d",
+        "699cd42f8dd07795828e2540521245ebe1a26789f424881371a2b346d32ab814",
     "sgd-cbic":
-        "aba87762eb2abef6c1ebfb555e3ffa709ba71d85b63673ef982753bfb4643082",
+        "f749cca02012230160dc2e9f675f570b16f9ec490cb4a0d27f7c6a866a25e0f5",
     "lars-bic-elrd":
-        "c75052f9afecdac628b566489cdd7b18decf9ea97beef0a19cdcee6b24b8b900",
+        "5143b2809ca898c408793d2fc62ebc61769539805ad283ad6615e4dce097dd82",
     "iba-stream-aug":
-        "03c9310ec4705d7d7e564d29507e299794f213032fb1412d2a80b3c385720506",
+        "d49f644c4282f975678657de53623f02847f03374435d5f2a0f987fce29cdb23",
     IDX_CASE:
-        "d1933ed2a1a9c1e8b9252aad733845d7a107a2159ee90d92306f2b2f11c6b20b",
+        "70b020342b1c0fe35f86be6f5f9833567aa5acda8d31a09c4259bfe376cabbe1",
 }
 
-# The exact digests from before ``decay_fraction`` left the configuration,
-# when its one value was 1/6 (and while the report still held the dump). A
-# report with both keys put back must hash to them.
+# The exact digests of the report with ``decay_fraction`` put back in the
+# configuration, at its one value 1/6, and with the dump put back. Before the
+# float32 re-pin, these were the digests from before the key left.
 DIGESTS_WITH_DECAY_FRACTION = {
     "reservoir":
-        "03764ee558702cf3d072aeb73af26ea4d4f4a0640aed3f83c1c49ebc18e096f7",
+        "815882ea21058dd757922d65f82079b4f7e27e20fb5d4903b3a97996f68cf948",
     "brs-cbic":
-        "8ed5efe2c330231765f39a93a8250f85a912882dea15a7faee264fa9c043f41d",
+        "ed9c9438d94b236f6ce5523f45fe6ff96db8558eae62870a255fb850e4161884",
     "sgd-cbic":
-        "82b99c5dadbad827b666593a317d348e8403a21dd19ff658dae3cd0b0b4811c2",
+        "52d2a04da59685eb5a115e233590ef14266abfaeb0e3e2f1a8246fb19896b219",
     "lars-bic-elrd":
-        "4d588f875fce0a4caa000a53c400b89b7400016ba69ef12b9b2b737cd1f67adb",
+        "ded1a5375b81c961b68fedc229fb40545342834a8220b9ec7b17d3b13c8cc80e",
     "iba-stream-aug":
-        "c3571d03c3130d3dde3013d4370a7910c1c2f3825b17ef48234abdb758a6d5fe",
+        "5b2f7da2303c7af2de7074a702e0decd552bc4bbfb5909b91ea1c8a99e59cd0f",
     IDX_CASE:
-        "ed80403dfed1ff5741f1a8aaa1b3f2509a538249e7a11d967fbfc1033cf3fced",
+        "ed5a2381b6f79d3295817cc27d9755c535f96eeb44922bf5d057626a89e76b87",
 }
 
 # sha256 of the final buffer.labels, buffer.loss, buffer.features and
 # model.params bytes, in that order.
 STATE_DIGESTS = {
     "reservoir":
-        "27963cc5e8765f1e6b67927585e2c0b098b3538b421ac9236314e63f1b3ee802",
+        "dcbac0278b25ffae67d79e4e5629df87930a26b038cc4bb3da81eaa175116852",
     "brs-cbic":
-        "28f7537ad6ce884f7a7b356e798e74b9d95c2e48ebece17401591b9f6cc0794f",
+        "6c9f806084ca4a4eeb4157569d9f34a19143c8968de215739a46bc60577d73e7",
     "sgd-cbic":
-        "47c8f86948e756833c5e5b588968e99cf7cfe48a639309cb538d0f47e8143f2e",
+        "547b046245985e4be2ba1c3351c024a70ffae5d0d3f61443f6796ec76d8b5d67",
     "lars-bic-elrd":
-        "a0eb523670a059809d1ff30e3db4c82d2e81000b595530735291f47b67243604",
+        "ac32af721d38a070d9ee19bd88832b613062ae90a88feb4419518016bbd66ff3",
     "iba-stream-aug":
-        "0029196207caa2303056df8a62e1fd711d41e0ba7f6cf2b7f7bb331b9580b45f",
+        "40d678783d8c3fef3485f64f4483e65d1fca6edcc52e03711a018c22296490b4",
     IDX_CASE:
-        "f3ec0d7cfc658f2b90595f83612400157cb63297af8646f6a6c35fcf87a19bfa",
+        "b2638403b5ebfb11b8c5317a6bcb7997d2e9c41189ee17ef4a54768088243499",
 }
 
 
@@ -260,3 +269,30 @@ def test_default_config_hash_is_pinned():
     got = load_experiment_config(None, {}).config_hash()
     assert got == "774bfd2a7270314729993ff17b4ab4bc9b7887ad5c1ca1d07acb51e6a6625b61", \
         f"default config hash is {got}"
+
+
+def test_seeded_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 32-row batches through 256x256 layers are large enough for OpenBLAS to
+    # split each product over two threads; at one thread the two seeds run
+    # in two forked processes.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = synthetic\nseeds = 0,1\nclasses_per_task = 2\n"
+                   "buffer_capacity = 16\nreplay_batch_size = 16\nstream_batch_size = 16\n"
+                   "hidden_dims = 256,256\nsynthetic.class_count = 4\n"
+                   "synthetic.per_class = 32\nsynthetic.per_class_test = 16\n"
+                   "synthetic.feature_dim = 8\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "replay_lab.cli", "run", "--config", str(cfg),
+                        "--tricks", "bic,elrd,lars", "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        report = [line for line in (out / "report.json").read_text().splitlines()
+                  if '"wall_clock_seconds"' not in line]
+        runs = [line.rsplit(",", 1)[0] for line in (out / "runs.csv").read_text().splitlines()]
+        assert runs[1].endswith(",average_accuracy") and len(runs) == 4
+        outputs.append((report, runs))
+    assert outputs[0] == outputs[1]

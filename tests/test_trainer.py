@@ -14,7 +14,7 @@ from replay_lab.augmentation import augment
 from replay_lab.datasets import Dataset, TaskStream, make_class_il_tasks, \
     synthetic_class_il_stream
 from replay_lab.evaluation import average_final_accuracy, task_prediction_distribution
-from replay_lab.mlp import Mlp, softmax_cross_entropy
+from replay_lab.mlp import Mlp, float64_copy, softmax_cross_entropy
 from replay_lab.trainer import (ELRD_FINAL_FRACTION, TrainConfig, ablation_configs,
                                 ablation_suite, baseline_config, er_train_step,
                                 init_state, method_label, merge_tasks, process_count,
@@ -122,6 +122,9 @@ class TestErTrainStep:
             er_train_step(state, task.train_features[start:start + 5],
                           task.train_labels[start:start + 5], config)
         x, y = task.train_features[15:20], task.train_labels[15:20]
+        # in float64, the way gradient_check copies a model, so that float32
+        # rounding of the two orders of summation does not blur rtol 1e-12
+        state.model = float64_copy(state.model)
 
         # the same draw, worked as two separate batch means by hand
         ref = copy.deepcopy(state)
