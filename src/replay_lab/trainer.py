@@ -253,6 +253,7 @@ def init_state(task_stream: TaskStream, config: TrainConfig) -> TrainState:
                       aug_policy=aug_policy(config, task_stream.feature_dim))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_class_il(task_stream: TaskStream, config: TrainConfig,
                  eval_stream: TaskStream | None = None) -> RunReport:
     """Train over the task sequence and evaluate on every task's test set.
@@ -263,6 +264,11 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
     the backbone and only shape evaluation-time logits: the final evaluation
     runs one forward per test set and scores the raw and the corrected logits.
     An empty test set is rejected before any training.
+
+    numpy's floating-point warnings are off: a diverging run is reported by
+    one ``FloatingPointError``, from ``er_train_step``'s loss check or, when
+    the last update overflows the weights, from the final evaluation, which
+    names the test set whose logits are not finite.
     """
     t_start = time.perf_counter()
     if eval_stream is None:
@@ -284,6 +290,10 @@ def run_class_il(task_stream: TaskStream, config: TrainConfig,
                 state.correction = fit_cbic(state.model, state.buffer, partition)
 
     raw = [state.model.forward(task.test_features)[0] for task in eval_stream.tasks]
+    for t, z in enumerate(raw):
+        if not np.isfinite(z).all():
+            raise FloatingPointError(
+                f"non-finite logits in the final evaluation, on the test set of task {t}")
     logits = raw if state.correction is None else [state.correction.apply(z) for z in raw]
     per_task, avg = average_final_accuracy(logits, eval_stream)
     dist_raw = task_prediction_distribution(raw, eval_stream)

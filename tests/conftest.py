@@ -7,6 +7,33 @@ import pytest
 
 
 @pytest.fixture
+def wall_clock_free():
+    """A function from an output directory to the text of each file in it,
+    by file name, with the one thing that differs between two runs of a
+    seeded command removed: the ``wall_clock_seconds`` column of a CSV file,
+    found by its header name on the line after the ``#`` schema and
+    config-hash line, which is kept; and every JSON line that holds
+    ``"wall_clock_seconds"``. Two runs wrote the same bytes apart from their
+    wall-clock times if the two results are equal.
+    """
+    def read(out_dir):
+        texts = {}
+        for path in sorted(out_dir.iterdir()):
+            lines = path.read_text().split("\n")
+            header = lines[1].split(",") if path.suffix == ".csv" else []
+            if "wall_clock_seconds" in header:
+                drop = header.index("wall_clock_seconds")
+                lines[1:] = [",".join(v for i, v in enumerate(line.split(",")) if i != drop)
+                             for line in lines[1:]]
+            elif path.suffix == ".json":
+                lines = [line for line in lines if '"wall_clock_seconds"' not in line]
+            texts[path.name] = "\n".join(lines)
+        return texts
+
+    return read
+
+
+@pytest.fixture
 def two_processes(monkeypatch, tmp_path):
     """Switch ``trainer.run_many`` from serial to forked processes on two
     usable cores.

@@ -252,24 +252,14 @@ class TestCmdRun:
 
 
 class TestDeterminism:
-    def strip_wall_clock(self, out_dir):
-        _, header, rows = read_csv_rows(out_dir / "runs.csv")
-        idx = header.index("wall_clock_seconds")
-        stripped_csv = [",".join(v for i, v in enumerate(row) if i != idx)
-                        for row in rows]
-        report = json.loads((out_dir / "report.json").read_text())
-        for run in report["runs"]:
-            run.pop("wall_clock_seconds")
-        return stripped_csv, json.dumps(report, sort_keys=True)
-
-    def test_rerun_is_identical_modulo_wall_clock(self, tmp_path):
+    def test_rerun_is_identical_modulo_wall_clock(self, tmp_path, wall_clock_free):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", cfg, "--tricks", "bic,elrd,lars",
               "--out", str(out_a)])
         main(["run", "--config", cfg, "--tricks", "bic,elrd,lars",
               "--out", str(out_b)])
-        assert self.strip_wall_clock(out_a) == self.strip_wall_clock(out_b)
+        assert wall_clock_free(out_a) == wall_clock_free(out_b)
 
     @pytest.mark.parametrize("argv, owner, name, processes", [
         (["run", "--config", "{joint}", "--seeds", "0,1"], cli, "run_joint_baseline", 2),
@@ -278,7 +268,7 @@ class TestDeterminism:
         (["balance-toy", "--repetitions", "5", "--seed", "4"], cli, "balance_repetition", 2),
         (["balance-toy", "--repetitions", "3", "--seed", "4"], cli, "balance_repetition", 3),
     ], ids=["joint", "three-seeds", "ablation", "balance-toy", "three-repetitions"])
-    def test_forked_runs_write_the_serial_bytes(self, tmp_path, two_processes,
+    def test_forked_runs_write_the_serial_bytes(self, tmp_path, two_processes, wall_clock_free,
                                                 argv, owner, name, processes):
         cfg = write_config(tmp_path)
         joint = write_config(tmp_path, tiny_config("method = joint\n"), "joint.cfg")
@@ -288,15 +278,7 @@ class TestDeterminism:
             if out.name == "forked":
                 forks = two_processes(owner, name)
             assert main(argv + ["--out", str(out)]) == 0
-            if argv[0] == "run":
-                outputs.append(self.strip_wall_clock(out))
-            elif argv[0] == "ablation":
-                report = (out / "ablation.json").read_text().splitlines()
-                outputs.append(((out / "ablation.csv").read_text(),
-                                [line for line in report if '"wall_clock_seconds"' not in line]))
-            else:
-                outputs.append(((out / "balance.csv").read_bytes(),
-                                (out / "balance.json").read_bytes()))
+            outputs.append(wall_clock_free(out))
         assert outputs[0] == outputs[1]
         assert len(forks.forked) == processes - 1 and len(forks.callers()) == processes
 
@@ -853,3 +835,29 @@ class TestExitCodes:
         assert "task 0, step 4" in err
         assert not (out / "report.json").exists()
         assert processes == 1 or len(forks.forked) == 1
+
+    def test_diverging_run_prints_one_stderr_line(self, tmp_path):
+        # in a fresh interpreter, where numpy's overflow warnings would reach stderr
+        cfg = write_config(tmp_path, "seeds = 0\nlr0 = 1e15\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "replay_lab.cli", "run", "--config", cfg,
+                               "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == [
+            "runtime error: non-finite loss at task 0, step 1: stream loss nan, replay loss nan"]
+
+    def test_weights_overflowed_by_the_last_update_are_4(self, tmp_path, capsys):
+        # one task of 32 items is one step: its update makes the weights
+        # non-finite, and no later loss is computed to notice
+        cfg = write_config(tmp_path, tiny_config("seeds = 0\nlr0 = 1e38\nstream_batch_size = 32\n"
+                                                 "synthetic.class_count = 2\n"
+                                                 "synthetic.per_class = 16\n"
+                                                 "synthetic.per_class_test = 8\n"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime error: non-finite logits in the final evaluation, on the test set of task 0"]
+        assert not (out / "runs.csv").exists()

@@ -398,8 +398,7 @@ class TestReservoir:
             buf.update(np.empty((n_items, 0)), np.zeros(n_items, dtype=np.int64),
                        np.arange(n_items, dtype=float), rng)
             assert_buffer_invariants(buf)
-            for loss in buf.loss:
-                hits[int(loss)] += 1
+            np.add.at(hits, buf.loss.astype(np.int64), 1)
         freq = hits / runs
         p = capacity / n_items
         sd = np.sqrt(p * (1 - p) / runs)
